@@ -9,7 +9,6 @@ space, so level sets are computable exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import ndimage
@@ -37,7 +36,6 @@ class ScalarField:
 
     frame: Frame
     values: np.ndarray
-    declared_support: Optional[Region] = None
 
     def __post_init__(self):
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
@@ -213,7 +211,7 @@ def build_plateau(inner: Region | None, outer: Region, height: float,
                 "inner region is closer than ramp_width to the boundary of outer"
             )
     values = height * np.minimum(1.0, dist / ramp_width)
-    return ScalarField(frame, values, declared_support=outer.with_role(COMPACT))
+    return ScalarField(frame, values)
 
 
 # -- pointwise algebra ----------------------------------------------------

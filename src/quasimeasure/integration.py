@@ -11,11 +11,16 @@ Riemann-Stieltjes integral of the identity against the measure F induces:
     rho(f) = integral_[a,b] F(t) dt + a * F(a-),   [a, b] = sampled range of f.
 
 On a raster F is an exact step function: it can only jump where t crosses a
-sampled value. Jumps are located exactly by monotone bisection over the
-finite candidate set, so for finitely-valued measures the integral carries
-no quadrature error at all. Densities with very many distinct values fall
-back to a uniform threshold schedule integrated by trapezoid, with the
-error reported.
+sampled value. Each family of measure builds it exactly, in one way:
+
+* an additive measure (density or atomic) hands out its atoms of mass, and F
+  is their layer-cake sum: the weight at each distinct value, then a
+  cumulative sum;
+* a point-count measure is not additive, so its jumps are located by
+  monotone bisection over the gaps between distinct sampled values, one
+  mass evaluation per probe.
+
+Either way the integral carries no quadrature error.
 """
 
 from __future__ import annotations
@@ -25,22 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InfiniteMeasureError,
-    TieBreakError,
-    VariantError,
-)
+from .errors import DomainError, InfiniteMeasureError, VariantError
 from .fields import ScalarField, scale, sup_norm, truncate
 from .measures import ATOMIC, DENSITY, TopologicalMeasure
 from .regions import COMPACT, OPEN, Region
 
 VARIANT_A = "A"
 VARIANT_B = "B"
-
-# Fall back to sampled thresholds beyond this many distinct values (densities only).
-MAX_EXACT_VALUES = 4096
-SAMPLE_THRESHOLDS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +53,6 @@ class DistributionFn:
     domain: tuple[float, float]
     left_limit: float
     total_mass: float
-    exact: bool = True
 
     def __post_init__(self):
         t = np.ascontiguousarray(np.asarray(self.thresholds, dtype=float))
@@ -106,12 +101,6 @@ class DistributionFn:
             return 0.0
         return float(np.sum(self.values[:-1] * np.diff(self.thresholds)))
 
-    def trapezoid(self) -> float:
-        """Trapezoid rule over the breakpoints (for sampled representations)."""
-        if len(self.thresholds) < 2:
-            return 0.0
-        return float(np.trapezoid(self.values, self.thresholds))
-
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("# right-continuous step function: F(t) = F_i on [t_i, t_{i+1})\n")
@@ -132,7 +121,6 @@ def interval_mass(F: DistributionFn, a: float, b: float) -> float:
 class IntegrationDiagnostics:
     breakpoint_count: int
     refinement_iterations: int
-    quadrature_error: float
 
 
 @dataclass(frozen=True)
@@ -167,10 +155,6 @@ class _LevelEvaluator:
 
     def threshold_for_segment(self, i: int) -> float:
         return 0.5 * (self.levels[i] + self.levels[i + 1])
-
-    def segment_of(self, t: float) -> int:
-        """Index of the constancy segment containing threshold t."""
-        return int(np.searchsorted(self.levels, t, side="right")) - 1
 
     def value_at_threshold(self, t: float) -> float:
         """F(t) for a t strictly between sampled values."""
@@ -224,22 +208,56 @@ class _LevelEvaluator:
         self.refine(mid, hi, jumps)
 
 
-def _tie_check(f: ScalarField, t: float):
-    if bool((np.abs(f.values - t) <= f.tie_eps_value()).any()):
-        raise TieBreakError(f"threshold {t} collides with sampled values")
-
-
-def _stepwise_from_segments(ev: _LevelEvaluator, segments, total: float) -> DistributionFn:
-    """Sampled (non-exact) step representation from probed segments only."""
+def _bisection(mu: TopologicalMeasure, f: ScalarField,
+               variant: str) -> tuple[DistributionFn, int]:
+    """F by monotone bisection, for a measure that has no atoms to sum."""
+    ev = _LevelEvaluator(mu, f, variant)
     levels = ev.levels
-    a, b = float(levels[0]), float(levels[-1])
-    segs = sorted(set(s for s in segments if 0 <= s < ev.m - 1) | {0})
-    thresholds = [float(levels[i]) for i in segs] + [b]
-    values = [ev.segment_value(i) for i in segs] + [0.0]
+    jumps: list[tuple[float, float]] = []
+    ev.refine(0, ev.m - 1, jumps)
+    F = DistributionFn(
+        thresholds=np.array([levels[0]] + [t for t, _ in jumps]),
+        values=np.array([ev.segment_value(0)] + [v for _, v in jumps]),
+        domain=(float(levels[0]), float(levels[-1])),
+        left_limit=ev.segment_value(-1), total_mass=mu.total_mass(f.frame),
+    )
+    return F, ev.evals
+
+
+def _layer_cake(mu: TopologicalMeasure, f: ScalarField, variant: str,
+                values: np.ndarray, weights) -> DistributionFn:
+    """F of an additive measure: cumulative sums of its atoms' weights."""
+    total = mu.total_mass(f.frame)
+    if variant == VARIANT_A and math.isinf(total):
+        raise InfiniteMeasureError("variant A requires a finite measure")
+    if np.ndim(weights) == 0:
+        # one weight for every atom: sum counts, which is exact, and scale once
+        levels, mass = np.unique(values, return_counts=True)
+        unit = weights
+    else:
+        # searchsorted gives np.unique's inverse in less time and memory
+        levels = np.unique(values)
+        mass = np.bincount(np.searchsorted(levels, values), weights=weights)
+        unit = 1.0
+    # The breakpoints start at the field's minimum, and F changes form at 0.
+    a, b = float(f.values.min()), float(f.values.max())
+    grid = np.union1d(levels, [a, 0.0])
+    at = np.zeros(len(grid), dtype=mass.dtype)  # mass of the atoms at each grid value
+    at[np.searchsorted(grid, levels)] = mass
+    # A zero-valued atom lies in no {f > t} with t >= 0; variant B drops it.
+    at[grid == 0.0] = 0
+    above = np.cumsum(at[::-1])[::-1] * unit  # above[i] = mass of {f >= grid[i]}
+    F = np.append(above[1:], 0.0)  # F = mass of {f > grid[i]} on [grid[i], grid[i+1])
+    left_limit = float(above[0])
+    if variant == VARIANT_A:
+        # below 0, {f > t} is co-compact and holds every atom outside the frame
+        below = grid < 0
+        F[below] = total - np.cumsum(at)[below] * unit
+        left_limit = total
+    keep = np.flatnonzero(np.r_[True, F[1:] != F[:-1]])
     return DistributionFn(
-        thresholds=np.array(thresholds), values=np.array(values),
-        domain=(a, b), left_limit=ev.segment_value(-1),
-        total_mass=total, exact=False,
+        thresholds=grid[keep], values=F[keep], domain=(a, b),
+        left_limit=left_limit, total_mass=total,
     )
 
 
@@ -247,78 +265,23 @@ def _build_distribution(
     mu: TopologicalMeasure,
     f: ScalarField,
     variant: str,
-    t_grid=None,
 ) -> tuple[DistributionFn, int]:
+    """F and the number of mass evaluations it took."""
     if variant not in (VARIANT_A, VARIANT_B):
         raise VariantError(f"unknown variant {variant!r}")
-    ev = _LevelEvaluator(mu, f, variant)
-    levels = ev.levels
-    a, b = float(levels[0]), float(levels[-1])
-    total = mu.total_mass(f.frame)
-
-    if ev.m == 1:
-        # constant zero field
-        F = DistributionFn(
-            thresholds=np.array([0.0]), values=np.array([0.0]),
-            domain=(0.0, 0.0), left_limit=ev.segment_value(-1),
-            total_mass=total, exact=True,
-        )
-        return F, ev.evals
-
-    dense = mu.kind == DENSITY and ev.m > MAX_EXACT_VALUES
-    if t_grid is None:
-        if dense:
-            grid = np.linspace(a, b, SAMPLE_THRESHOLDS + 1)[:-1]
-            segs = {ev.segment_of(t) for t in grid}
-            return _stepwise_from_segments(ev, segs, total), ev.evals
-        seeds = [0, ev.m - 1]
-    else:
-        ts = np.unique(np.asarray(t_grid, dtype=float))
-        if len(ts) == 0:
-            raise DomainError("t_grid must contain at least one threshold")
-        segs = {0, ev.m - 1}
-        for t in ts:
-            if t >= b:
-                continue
-            _tie_check(f, t)
-            seg = ev.segment_of(t)
-            # thresholds below the range are covered by the left limit
-            if seg >= 0:
-                segs.add(seg)
-        if dense:
-            # jump refinement is pointless with this many candidates
-            return _stepwise_from_segments(ev, segs, total), ev.evals
-        seeds = sorted(segs)
-
-    jumps: list[tuple[float, float]] = []
-    for lo, hi in zip(seeds[:-1], seeds[1:]):
-        ev.refine(lo, hi, jumps)
-    jumps.sort()
-
-    thresholds = np.array([a] + [t for t, _ in jumps])
-    values = np.array([ev.segment_value(0)] + [v for _, v in jumps])
-    F = DistributionFn(
-        thresholds=thresholds, values=values, domain=(a, b),
-        left_limit=ev.segment_value(-1), total_mass=total, exact=True,
-    )
-    return F, ev.evals
+    atoms = mu.atoms(f)
+    if atoms is None:
+        return _bisection(mu, f, variant)
+    return _layer_cake(mu, f, variant, *atoms), 0
 
 
 def distribution_function(
     mu: TopologicalMeasure,
     f: ScalarField,
     variant: str = VARIANT_B,
-    t_grid=None,
 ) -> DistributionFn:
-    """Distribution function of f with respect to mu.
-
-    The default schedule visits the gaps between distinct sampled values,
-    pruning constant stretches via monotonicity, so every jump is located
-    exactly. A custom t_grid is evaluated as given (thresholds must not
-    collide with sampled values) and detected jumps are refined the same
-    way.
-    """
-    F, _ = _build_distribution(mu, f, variant, t_grid)
+    """Distribution function of f with respect to mu, every jump exact."""
+    F, _ = _build_distribution(mu, f, variant)
     return F
 
 
@@ -326,24 +289,14 @@ def quasi_integral(
     mu: TopologicalMeasure,
     f: ScalarField,
     variant: str = VARIANT_B,
-    t_grid=None,
 ) -> QuasiIntegralResult:
     """rho_mu(f) via the Stieltjes formula, with the distribution attached."""
-    F, evals = _build_distribution(mu, f, variant, t_grid)
-    a = F.domain[0]
-    if F.exact:
-        value = F.integral() + a * F.left_limit
-        qerr = 0.0
-    else:
-        step = F.integral()
-        trap = F.trapezoid()
-        value = trap + a * F.left_limit
-        qerr = abs(step - trap)
+    F, evals = _build_distribution(mu, f, variant)
     diag = IntegrationDiagnostics(
         breakpoint_count=len(F.thresholds),
         refinement_iterations=evals,
-        quadrature_error=qerr,
     )
+    value = F.integral() + F.domain[0] * F.left_limit
     return QuasiIntegralResult(value=value, distribution=F, diagnostics=diag)
 
 

@@ -8,7 +8,8 @@ Three variants:
   recursion forced by additivity on disjoint unions. This family contains
   the genuinely non-linear examples.
 * DensityMeasure / AtomicMeasure: ordinary measures, used as the linear
-  baseline.
+  baseline. Each hands out its atoms of mass, so a field's distribution
+  function is a layer-cake sum of their weights.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 
 import numpy as np
 
+from .fields import ScalarField
 from .grid import Frame
 from .regions import (
     Region,
@@ -45,6 +47,14 @@ class TopologicalMeasure:
 
     def is_finite(self, frame: Frame) -> bool:
         return math.isfinite(self.total_mass(frame))
+
+    def atoms(self, f: ScalarField) -> tuple[np.ndarray, np.ndarray | float] | None:
+        """f's value under each in-frame atom of mass, and the atom's weight.
+
+        Only an additive measure has atoms; a single float weight applies to
+        every atom. None for a measure that is not additive.
+        """
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +169,13 @@ class DensityMeasure(TopologicalMeasure):
         grid = self._density_grid(region.frame)
         return float(grid[region.mask].sum()) * region.frame.cell_area
 
+    def atoms(self, f: ScalarField) -> tuple[np.ndarray, np.ndarray | float]:
+        """Every cell is an atom of mass density * cell_area."""
+        area = f.frame.cell_area
+        if isinstance(self.density, np.ndarray):
+            return f.values.ravel(), self._density_grid(f.frame).ravel() * area
+        return f.values.ravel(), self.density * area
+
 
 @dataclass(frozen=True, eq=False)
 class AtomicMeasure(TopologicalMeasure):
@@ -184,14 +201,19 @@ class AtomicMeasure(TopologicalMeasure):
     def total_mass(self, frame: Frame) -> float:
         return float(self.weights.sum())
 
-    def mass(self, region: Region) -> float:
-        cells = point_cells(region.frame, self.points)
+    def _in_frame(self, frame: Frame):
+        """Cell rows, cell columns and weights of the points inside the frame."""
+        cells = point_cells(frame, self.points)
         inside = cells[:, 0] >= 0
-        if not inside.any():
-            return 0.0
-        rows, cols = cells[inside, 0], cells[inside, 1]
-        hit = region.mask[rows, cols]
-        return float(self.weights[inside][hit].sum())
+        return cells[inside, 0], cells[inside, 1], self.weights[inside]
+
+    def mass(self, region: Region) -> float:
+        rows, cols, weights = self._in_frame(region.frame)
+        return float(weights[region.mask[rows, cols]].sum())
+
+    def atoms(self, f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+        rows, cols, weights = self._in_frame(f.frame)
+        return f.values[rows, cols], weights
 
 
 def tm_eval(mu: TopologicalMeasure, region: Region) -> float:

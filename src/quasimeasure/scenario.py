@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -69,6 +70,19 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
+@contextmanager
+def _built_at(path: str):
+    """Report an error raised while building a scenario object at its JSON path.
+
+    The block must not raise ConfigError itself: its path would be prefixed
+    twice.
+    """
+    try:
+        yield
+    except (ValueError, TypeError, QuasimeasureError) as exc:
+        _fail(path, str(exc))
+
+
 def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
     if not isinstance(obj, dict):
         _fail(path, f"expected an object, got {type(obj).__name__}")
@@ -99,14 +113,12 @@ class Scenario:
 
     def _parse_frame(self, obj, resolution):
         _require_keys(obj, _FRAME_KEYS, _FRAME_KEYS, "$.frame")
-        nx, ny = int(obj["nx"]), int(obj["ny"])
-        if resolution is not None:
-            nx = ny = int(resolution)
-        try:
+        with _built_at("$.frame"):
+            nx, ny = int(obj["nx"]), int(obj["ny"])
+            if resolution is not None:
+                nx = ny = int(resolution)
             return Frame(float(obj["x_min"]), float(obj["x_max"]),
                          float(obj["y_min"]), float(obj["y_max"]), nx, ny)
-        except ValueError as exc:
-            _fail("$.frame", str(exc))
 
     def _parse_measures(self, obj):
         measures: dict[str, TopologicalMeasure] = {}
@@ -116,22 +128,22 @@ class Scenario:
             if kind == "point_count":
                 _require_keys(spec, {"kind", "points", "value_by_count"},
                               {"points", "value_by_count"}, path)
-                try:
+                with _built_at(path):
                     measures[name] = PointCountMeasure(
                         np.asarray(spec["points"], dtype=float),
                         np.asarray(spec["value_by_count"], dtype=float))
-                except ValueError as exc:
-                    _fail(path, str(exc))
             elif kind == "density":
                 _require_keys(spec, {"kind", "density", "unbounded"}, set(), path)
-                measures[name] = DensityMeasure(float(spec.get("density", 1.0)),
-                                                bool(spec.get("unbounded", False)))
+                with _built_at(path):
+                    measures[name] = DensityMeasure(float(spec.get("density", 1.0)),
+                                                    bool(spec.get("unbounded", False)))
             elif kind == "atomic":
                 _require_keys(spec, {"kind", "points", "weights"},
                               {"points", "weights"}, path)
-                measures[name] = AtomicMeasure(
-                    np.asarray(spec["points"], dtype=float),
-                    np.asarray(spec["weights"], dtype=float))
+                with _built_at(path):
+                    measures[name] = AtomicMeasure(
+                        np.asarray(spec["points"], dtype=float),
+                        np.asarray(spec["weights"], dtype=float))
             else:
                 _fail(path, f"unknown measure kind {kind!r}")
         return measures
@@ -149,10 +161,13 @@ class Scenario:
                 bounds = spec.get("bounds")
                 if not (isinstance(bounds, list) and len(bounds) == 4):
                     _fail(path, "rect needs bounds [x0, x1, y0, y1]")
-                regions[name] = rect_region(self.frame, *map(float, bounds), role=role)
+                with _built_at(path):
+                    regions[name] = rect_region(self.frame, *map(float, bounds),
+                                                role=role)
             elif kind == "interior":
-                regions[name] = frame_interior(self.frame,
-                                               int(spec.get("margin", 1)))
+                with _built_at(path):
+                    regions[name] = frame_interior(self.frame,
+                                                   int(spec.get("margin", 1)))
             elif kind == "empty":
                 regions[name] = empty_region(self.frame, role)
             else:
@@ -167,7 +182,8 @@ class Scenario:
                 _fail(path, f"undefined region {ref!r}")
             return self.regions[ref]
         if isinstance(ref, list) and len(ref) == 4:
-            return rect_region(self.frame, *map(float, ref), role=role)
+            with _built_at(path):
+                return rect_region(self.frame, *map(float, ref), role=role)
         _fail(path, "expected a region name or bounds [x0, x1, y0, y1]")
 
     def _parse_fields(self, obj):
@@ -200,11 +216,9 @@ class Scenario:
                           {"outer", "height", "ramp"}, path)
             inner = self._region_ref(spec.get("inner"), f"{path}.inner", COMPACT)
             outer = self._region_ref(spec["outer"], f"{path}.outer", OPEN)
-            try:
+            with _built_at(path):
                 return build_plateau(inner, outer, float(spec["height"]),
                                      float(spec["ramp"]))
-            except QuasimeasureError as exc:
-                _fail(path, str(exc))
         if kind == "sum":
             _require_keys(spec, {"kind", "of"}, {"of"}, path)
             parts = spec["of"]
@@ -227,9 +241,10 @@ class Scenario:
                 if ref not in declared:
                     _fail(f"{path}.field", f"undefined field {ref!r}")
                 return None
-            if kind == "scale":
-                return scale(fields[ref], float(spec["factor"]))
-            return truncate(fields[ref], float(spec["delta"]))
+            with _built_at(path):
+                if kind == "scale":
+                    return scale(fields[ref], float(spec["factor"]))
+                return truncate(fields[ref], float(spec["delta"]))
         _fail(path, f"unknown field kind {kind!r}")
 
     def _parse_checks(self, obj):
@@ -247,7 +262,7 @@ class Scenario:
                           _CHECK_REQUIRED[name] | {"check"}, path)
             if "measure" in spec and spec["measure"] not in self.measures:
                 _fail(f"{path}.measure", f"undefined measure {spec['measure']!r}")
-            if "field" in spec and spec["field"] not in self._declared_fields:
+            if "field" in spec and spec["field"] not in self.fields:
                 _fail(f"{path}.field", f"undefined field {spec['field']!r}")
             if "regions" in spec:
                 for rname in spec["regions"]:
@@ -267,10 +282,10 @@ class Scenario:
             _require_keys(d, {"measure", "field", "variant"}, {"measure", "field"}, path)
             if d["measure"] not in self.measures:
                 _fail(path, f"undefined measure {d['measure']!r}")
-            if d["field"] not in self._declared_fields:
+            if d["field"] not in self.fields:
                 _fail(path, f"undefined field {d['field']!r}")
         for i, fname in enumerate(art.get("fields", [])):
-            if fname not in self._declared_fields:
+            if fname not in self.fields:
                 _fail(f"$.artifacts.fields[{i}]", f"undefined field {fname!r}")
         for i, d in enumerate(art.get("reconstruction_traces", [])):
             path = f"$.artifacts.reconstruction_traces[{i}]"
@@ -279,10 +294,6 @@ class Scenario:
                 _fail(path, f"undefined measure {d['measure']!r}")
             if d["region"] not in self.regions:
                 _fail(path, f"undefined region {d['region']!r}")
-
-    @property
-    def _declared_fields(self):
-        return self.fields
 
 
 def load_scenario(path, resolution: int | None = None) -> Scenario:
@@ -439,11 +450,8 @@ def execute_scenario(scenario: Scenario, out_dir=None, threads: int = 1) -> dict
 def run_scenario(path, out_dir=None, seed: int | None = None,
                  threads: int = 1, resolution: int | None = None) -> int:
     """Load, run, and report; exit code 0 all-pass, 1 failures, 2 config error."""
-    try:
-        scenario = load_scenario(path, resolution)
-        if seed is not None:
-            scenario.seed = int(seed)
-        report = execute_scenario(scenario, out_dir, threads)
-    except ConfigError:
-        raise
+    scenario = load_scenario(path, resolution)
+    if seed is not None:
+        scenario.seed = int(seed)
+    report = execute_scenario(scenario, out_dir, threads)
     return 0 if report["passed"] else 1

@@ -190,6 +190,23 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert not report["passed"]
 
+    @pytest.mark.parametrize("section, name, key, value", [
+        ("measures", "lebesgue", "density", -1.0),
+        ("measures", "lebesgue", "density", "x"),
+        ("measures", "spikes", "weights", [1.0, 2.5]),
+        ("fields", "mesa", "delta", -0.5),
+        ("regions", "tent_base", "bounds", ["a", 1, 2, 3]),
+        ("fields", "half_tent", "factor", "x"),
+    ])
+    def test_construction_error_names_its_path(self, baseline_path, tmp_path, capsys,
+                                                section, name, key, value):
+        data = json.loads(baseline_path.read_text())
+        data[section][name][key] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        assert main(["run", str(p)]) == 2
+        assert f"$.{section}.{name}: " in capsys.readouterr().err
+
     def test_resolution_flag(self, tmp_path):
         data = small_scenario_dict()
         data["checks"] = [{"check": "nonlinearity_example"}]
