@@ -79,6 +79,8 @@ def _timed(fn):
         report = fn(*args, **kwargs)
         report.wall_time = time.perf_counter() - t0
         return report
+    # inspect.signature follows __wrapped__: scenarios read defaults from it
+    wrapper.__wrapped__ = fn
     return wrapper
 
 

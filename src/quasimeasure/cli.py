@@ -28,8 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="directory for report.json and CSV artifacts")
     run.add_argument("--seed", type=int, default=None, metavar="N",
                      help="override the scenario seed")
-    run.add_argument("--threads", type=int, default=1, metavar="N",
-                     help="run independent checks in parallel")
     run.add_argument("--resolution", type=int, default=None, metavar="N",
                      help="override the frame resolution (cells per axis)")
     return parser
@@ -49,7 +47,7 @@ def main(argv=None) -> int:
     try:
         path = _resolve_scenario(args.scenario)
         code = run_scenario(path, out_dir=args.out, seed=args.seed,
-                            threads=args.threads, resolution=args.resolution)
+                            resolution=args.resolution)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

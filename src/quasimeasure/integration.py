@@ -383,8 +383,5 @@ class QuasiIntegral:
     mu: TopologicalMeasure
     variant: str = VARIANT_B
 
-    def evaluate(self, f: ScalarField) -> QuasiIntegralResult:
-        return quasi_integral(self.mu, f, self.variant)
-
     def __call__(self, f: ScalarField) -> float:
-        return self.evaluate(f).value
+        return quasi_integral(self.mu, f, self.variant).value

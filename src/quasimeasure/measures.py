@@ -45,9 +45,6 @@ class TopologicalMeasure:
     def total_mass(self, frame: Frame) -> float:
         raise NotImplementedError
 
-    def is_finite(self, frame: Frame) -> bool:
-        return math.isfinite(self.total_mass(frame))
-
     def atoms(self, f: ScalarField) -> tuple[np.ndarray, np.ndarray | float] | None:
         """f's value under each in-frame atom of mass, and the atom's weight.
 
@@ -163,11 +160,15 @@ class DensityMeasure(TopologicalMeasure):
     def total_mass(self, frame: Frame) -> float:
         if self.unbounded:
             return math.inf
-        return float(self._density_grid(frame).sum()) * frame.cell_area
+        if isinstance(self.density, np.ndarray):
+            return float(self._density_grid(frame).sum()) * frame.cell_area
+        return self.density * (frame.nx * frame.ny) * frame.cell_area
 
     def mass(self, region: Region) -> float:
-        grid = self._density_grid(region.frame)
-        return float(grid[region.mask].sum()) * region.frame.cell_area
+        if isinstance(self.density, np.ndarray):
+            grid = self._density_grid(region.frame)
+            return float(grid[region.mask].sum()) * region.frame.cell_area
+        return self.density * region.cell_count * region.frame.cell_area
 
     def atoms(self, f: ScalarField) -> tuple[np.ndarray, np.ndarray | float]:
         """Every cell is an atom of mass density * cell_area."""

@@ -9,8 +9,8 @@ single "timing" key.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -18,52 +18,18 @@ from pathlib import Path
 import numpy as np
 
 from . import checks as checks_mod
-from .checks import CheckReport
 from .errors import ConfigError, QuasimeasureError
 from .fields import ScalarField, add, build_plateau, field_to_csv, scale, truncate
 from .grid import Frame
 from .integration import QuasiIntegral, distribution_function
-from .measures import (
-    AtomicMeasure,
-    DensityMeasure,
-    PointCountMeasure,
-    TopologicalMeasure,
-)
+from .measures import AtomicMeasure, DensityMeasure, PointCountMeasure, TopologicalMeasure
 from .reconstruct import BumpSchedule, mu_rho_compact, mu_rho_open
-from .regions import COMPACT, OPEN, Region, empty_region, frame_interior, rect_region
+from .regions import (COMPACT, OPEN, Region, empty_region, frame_interior, point_cells,
+                      rect_region)
 
 _FRAME_KEYS = {"x_min", "x_max", "y_min", "y_max", "nx", "ny"}
 _TOP_KEYS = {"name", "frame", "seed", "measures", "regions", "fields", "checks",
              "artifacts"}
-
-# check name -> allowed keys (beyond "check")
-_CHECK_KEYS: dict[str, set[str]] = {
-    "nonlinearity_example": {"b", "heights", "tol"},
-    "sga_additivity": {"measure", "field", "trials", "tol"},
-    "disjoint_support_additivity": {"measure", "trials", "tol"},
-    "monotone_lipschitz": {"measure", "trials", "tol"},
-    "homogeneity": {"measure", "trials", "tol", "coeffs"},
-    "positivity": {"measure", "trials"},
-    "tm_axioms": {"measure", "tol"},
-    "roundtrip": {"measure", "regions", "rt_tol", "max_steps"},
-    "linear_agreement": {"measure", "field", "tol", "variant"},
-    "extension_consistency": {"measure", "field", "ns", "tol"},
-    "distribution_invariants": {"measure", "trials", "tol"},
-}
-
-_CHECK_REQUIRED: dict[str, set[str]] = {
-    "nonlinearity_example": set(),
-    "sga_additivity": {"measure"},
-    "disjoint_support_additivity": {"measure"},
-    "monotone_lipschitz": {"measure"},
-    "homogeneity": {"measure"},
-    "positivity": {"measure"},
-    "tm_axioms": {"measure"},
-    "roundtrip": {"measure", "regions"},
-    "linear_agreement": {"measure", "field"},
-    "extension_consistency": {"measure", "field"},
-    "distribution_invariants": {"measure"},
-}
 
 
 def _fail(path: str, message: str):
@@ -72,20 +38,16 @@ def _fail(path: str, message: str):
 
 @contextmanager
 def _built_at(path: str):
-    """Report an error raised while building a scenario object at its JSON path.
-
-    The block must not raise ConfigError itself: its path would be prefixed
-    twice.
-    """
+    """Report an error from building or running a scenario object at its JSON
+    path. The block must not raise ConfigError: its path would be prefixed twice."""
     try:
         yield
-    except (ValueError, TypeError, QuasimeasureError) as exc:
+    except (ValueError, TypeError, ArithmeticError, QuasimeasureError) as exc:
         _fail(path, str(exc))
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
-    if not isinstance(obj, dict):
-        _fail(path, f"expected an object, got {type(obj).__name__}")
+    _expect(obj, dict, path)
     unknown = set(obj) - allowed
     if unknown:
         _fail(path, f"unknown keys {sorted(unknown)}")
@@ -94,20 +56,119 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
         _fail(path, f"missing keys {sorted(missing)}")
 
 
+def _expect(obj, kind: type, path: str):
+    if not isinstance(obj, kind):
+        _fail(path, f"expected {'an object' if kind is dict else 'a list'}, "
+                    f"got {type(obj).__name__}")
+    return obj
+
+
+# -- parsers of scenario values: (scenario, value, path) -> argument -------
+
+
+def _int(scenario, value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _float(scenario, value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(path, f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _floats(scenario, value, path: str) -> tuple[float, ...]:
+    return tuple(_float(scenario, v, f"{path}[{j}]")
+                 for j, v in enumerate(_expect(value, list, path)))
+
+
+def _variant(scenario, value, path: str) -> str:
+    if value not in ("A", "B"):
+        _fail(path, f"variant must be 'A' or 'B', got {value!r}")
+    return value
+
+
+def _schedule(scenario, value, path: str) -> BumpSchedule:
+    max_steps = _int(scenario, value, path)
+    with _built_at(path):
+        return BumpSchedule(max_steps=max_steps)
+
+
+def _ref(table: str):
+    """Parser of a name defined under $.<table>, resolved to its object."""
+    kind = table[:-1]
+
+    def parse(scenario, value, path: str):
+        if not isinstance(value, str):
+            _fail(path, f"expected a {kind} name, got {value!r}")
+        defined = getattr(scenario, table)
+        if value not in defined:
+            _fail(path, f"undefined {kind} {value!r}")
+        return defined[value]
+
+    return parse
+
+
+_measure, _field, _region = _ref("measures"), _ref("fields"), _ref("regions")
+
+
+def _catalog(scenario, value, path: str) -> dict[str, Region]:
+    # each name is checked before it is hashed as a key
+    return {name: _region(scenario, name, f"{path}[{j}]")
+            for j, name in enumerate(_expect(value, list, path))}
+
+
+# scenario key of a check -> (parameter of the check function, parser)
+_KEYS = {
+    "measure": ("mu", _measure), "field": ("f", _field), "regions": ("catalog", _catalog),
+    "b": ("b", _float), "heights": ("heights", _floats), "coeffs": ("coeffs", _floats),
+    "ns": ("ns", _floats), "trials": ("trials", _int), "tol": ("tol", _float),
+    "rt_tol": ("rt_tol", _float), "max_steps": ("schedule", _schedule),
+    "variant": ("variant", _variant),
+}
+
+# check name -> (check function, the scenario keys it accepts). Absent keys
+# are not passed, so every default lives in the check's signature, and a key
+# is required exactly when its parameter has no default. seed and frame are
+# supplied when the check runs, to the checks that take them.
+_CHECKS = {
+    "nonlinearity_example": (checks_mod.check_nonlinearity_example,
+                             ("b", "heights", "tol")),
+    "sga_additivity": (checks_mod.check_sga_additivity,
+                       ("measure", "field", "trials", "tol")),
+    "disjoint_support_additivity": (checks_mod.check_disjoint_support_additivity,
+                                    ("measure", "trials", "tol")),
+    "monotone_lipschitz": (checks_mod.check_monotone_lipschitz,
+                           ("measure", "trials", "tol")),
+    "homogeneity": (checks_mod.check_homogeneity,
+                    ("measure", "trials", "tol", "coeffs")),
+    "positivity": (checks_mod.check_positivity, ("measure", "trials")),
+    "tm_axioms": (checks_mod.check_tm_axioms, ("measure", "tol")),
+    "roundtrip": (checks_mod.check_roundtrip,
+                  ("measure", "regions", "rt_tol", "max_steps")),
+    "linear_agreement": (checks_mod.check_linear_agreement,
+                         ("measure", "field", "tol", "variant")),
+    "extension_consistency": (checks_mod.check_extension_consistency,
+                              ("measure", "field", "ns", "tol")),
+    "distribution_invariants": (checks_mod.check_distribution_invariants,
+                                ("measure", "trials", "tol")),
+}
+
+
 class Scenario:
     """Validated scenario: named measures, regions and fields on one frame."""
 
     def __init__(self, data: dict, resolution: int | None = None):
         _require_keys(data, _TOP_KEYS, {"frame", "checks"}, "$")
         self.name = data.get("name", "scenario")
-        self.seed = int(data.get("seed", 0))
+        self.seed = _int(self, data.get("seed", 0), "$.seed")
         self.frame = self._parse_frame(data["frame"], resolution)
         self.measures = self._parse_measures(data.get("measures", {}))
         self.regions = self._parse_regions(data.get("regions", {}))
         self.fields = self._parse_fields(data.get("fields", {}))
         self.checks = self._parse_checks(data["checks"])
-        self.artifacts = data.get("artifacts", {})
-        self._validate_artifacts()
+        self.artifacts = self._parse_artifacts(data.get("artifacts", {}))
 
     # -- parsing -----------------------------------------------------
 
@@ -122,35 +183,30 @@ class Scenario:
 
     def _parse_measures(self, obj):
         measures: dict[str, TopologicalMeasure] = {}
-        for name, spec in obj.items():
+        for name, spec in _expect(obj, dict, "$.measures").items():
             path = f"$.measures.{name}"
             kind = spec.get("kind") if isinstance(spec, dict) else None
-            if kind == "point_count":
-                _require_keys(spec, {"kind", "points", "value_by_count"},
-                              {"points", "value_by_count"}, path)
-                with _built_at(path):
-                    measures[name] = PointCountMeasure(
-                        np.asarray(spec["points"], dtype=float),
-                        np.asarray(spec["value_by_count"], dtype=float))
-            elif kind == "density":
+            if kind == "density":
                 _require_keys(spec, {"kind", "density", "unbounded"}, set(), path)
                 with _built_at(path):
                     measures[name] = DensityMeasure(float(spec.get("density", 1.0)),
                                                     bool(spec.get("unbounded", False)))
-            elif kind == "atomic":
-                _require_keys(spec, {"kind", "points", "weights"},
-                              {"points", "weights"}, path)
+            elif kind in ("point_count", "atomic"):
+                cls, key = ((PointCountMeasure, "value_by_count") if kind == "point_count"
+                            else (AtomicMeasure, "weights"))
+                _require_keys(spec, {"kind", "points", key}, {"points", key}, path)
                 with _built_at(path):
-                    measures[name] = AtomicMeasure(
-                        np.asarray(spec["points"], dtype=float),
-                        np.asarray(spec["weights"], dtype=float))
+                    measures[name] = cls(np.asarray(spec["points"], dtype=float),
+                                         np.asarray(spec[key], dtype=float))
+                    # a marked point on a gridline is rejected here, once
+                    point_cells(self.frame, measures[name].points)
             else:
                 _fail(path, f"unknown measure kind {kind!r}")
         return measures
 
     def _parse_regions(self, obj):
         regions: dict[str, Region] = {}
-        for name, spec in obj.items():
+        for name, spec in _expect(obj, dict, "$.regions").items():
             path = f"$.regions.{name}"
             _require_keys(spec, {"kind", "bounds", "role", "margin"}, {"kind"}, path)
             kind = spec["kind"]
@@ -174,13 +230,9 @@ class Scenario:
                 _fail(path, f"unknown region kind {kind!r}")
         return regions
 
-    def _region_ref(self, ref, path: str, role: str) -> Region | None:
-        if ref is None:
-            return None
+    def _region_ref(self, ref, path: str, role: str) -> Region:
         if isinstance(ref, str):
-            if ref not in self.regions:
-                _fail(path, f"undefined region {ref!r}")
-            return self.regions[ref]
+            return _region(self, ref, path)
         if isinstance(ref, list) and len(ref) == 4:
             with _built_at(path):
                 return rect_region(self.frame, *map(float, ref), role=role)
@@ -188,16 +240,15 @@ class Scenario:
 
     def _parse_fields(self, obj):
         fields: dict[str, ScalarField] = {}
-        declared = set(obj)
+        declared = set(_expect(obj, dict, "$.fields"))
         # fixpoint: constructors first, then combinators referencing them
         pending = dict(obj)
         progress = True
         while pending and progress:
             progress = False
             for name in list(pending):
-                spec = pending[name]
-                path = f"$.fields.{name}"
-                built = self._try_build_field(spec, fields, declared, path)
+                built = self._try_build_field(pending[name], fields, declared,
+                                              f"$.fields.{name}")
                 if built is not None:
                     fields[name] = built
                     del pending[name]
@@ -208,13 +259,19 @@ class Scenario:
         return fields
 
     def _try_build_field(self, spec, fields, declared, path) -> ScalarField | None:
+        def built(ref, at: str) -> bool:
+            if not isinstance(ref, str) or ref not in declared:
+                _fail(at, f"undefined field {ref!r}")
+            return ref in fields
+
         if not isinstance(spec, dict) or "kind" not in spec:
             _fail(path, "field spec needs a 'kind'")
         kind = spec["kind"]
         if kind == "plateau":
             _require_keys(spec, {"kind", "inner", "outer", "height", "ramp"},
                           {"outer", "height", "ramp"}, path)
-            inner = self._region_ref(spec.get("inner"), f"{path}.inner", COMPACT)
+            inner = (self._region_ref(spec["inner"], f"{path}.inner", COMPACT)
+                     if "inner" in spec else None)
             outer = self._region_ref(spec["outer"], f"{path}.outer", OPEN)
             with _built_at(path):
                 return build_plateau(inner, outer, float(spec["height"]),
@@ -224,11 +281,8 @@ class Scenario:
             parts = spec["of"]
             if not (isinstance(parts, list) and len(parts) >= 2):
                 _fail(path, "sum needs a list of at least two field names")
-            for p in parts:
-                if p not in fields:
-                    if p not in declared:
-                        _fail(f"{path}.of", f"undefined field {p!r}")
-                    return None
+            if not all(built(p, f"{path}.of[{j}]") for j, p in enumerate(parts)):
+                return None
             out = fields[parts[0]]
             for p in parts[1:]:
                 out = add(out, fields[p])
@@ -237,9 +291,7 @@ class Scenario:
             key = "factor" if kind == "scale" else "delta"
             _require_keys(spec, {"kind", "field", key}, {"field", key}, path)
             ref = spec["field"]
-            if ref not in fields:
-                if ref not in declared:
-                    _fail(f"{path}.field", f"undefined field {ref!r}")
+            if not built(ref, f"{path}.field"):
                 return None
             with _built_at(path):
                 if kind == "scale":
@@ -248,52 +300,46 @@ class Scenario:
         _fail(path, f"unknown field kind {kind!r}")
 
     def _parse_checks(self, obj):
+        """Bind every check's arguments; seed and frame are added at run time."""
         if not isinstance(obj, list) or not obj:
             _fail("$.checks", "expected a non-empty list")
         out = []
         for i, spec in enumerate(obj):
             path = f"$.checks[{i}]"
-            if not isinstance(spec, dict) or "check" not in spec:
+            name = spec.get("check") if isinstance(spec, dict) else None
+            if not isinstance(name, str):
                 _fail(path, "check spec needs a 'check' name")
-            name = spec["check"]
-            if name not in _CHECK_KEYS:
+            if name not in _CHECKS:
                 _fail(path, f"unknown check {name!r}")
-            _require_keys(spec, _CHECK_KEYS[name] | {"check"},
-                          _CHECK_REQUIRED[name] | {"check"}, path)
-            if "measure" in spec and spec["measure"] not in self.measures:
-                _fail(f"{path}.measure", f"undefined measure {spec['measure']!r}")
-            if "field" in spec and spec["field"] not in self.fields:
-                _fail(f"{path}.field", f"undefined field {spec['field']!r}")
-            if "regions" in spec:
-                for rname in spec["regions"]:
-                    if rname not in self.regions:
-                        _fail(f"{path}.regions", f"undefined region {rname!r}")
-            out.append(spec)
+            fn, keys = _CHECKS[name]
+            params = inspect.signature(fn).parameters
+            required = {key for key in keys
+                        if params[_KEYS[key][0]].default is inspect.Parameter.empty}
+            _require_keys(spec, {"check", *keys}, {"check", *required}, path)
+            kwargs = {}
+            for key, value in spec.items():
+                if key != "check":
+                    param, parse = _KEYS[key]
+                    kwargs[param] = parse(self, value, f"{path}.{key}")
+            out.append((name, kwargs))
         return out
 
-    def _validate_artifacts(self):
-        art = self.artifacts
-        if not art:
-            return
+    def _parse_artifacts(self, art):
         _require_keys(art, {"distributions", "fields", "reconstruction_traces"},
                       set(), "$.artifacts")
-        for i, d in enumerate(art.get("distributions", [])):
-            path = f"$.artifacts.distributions[{i}]"
-            _require_keys(d, {"measure", "field", "variant"}, {"measure", "field"}, path)
-            if d["measure"] not in self.measures:
-                _fail(path, f"undefined measure {d['measure']!r}")
-            if d["field"] not in self.fields:
-                _fail(path, f"undefined field {d['field']!r}")
-        for i, fname in enumerate(art.get("fields", [])):
-            if fname not in self.fields:
-                _fail(f"$.artifacts.fields[{i}]", f"undefined field {fname!r}")
-        for i, d in enumerate(art.get("reconstruction_traces", [])):
-            path = f"$.artifacts.reconstruction_traces[{i}]"
-            _require_keys(d, {"measure", "region"}, {"measure", "region"}, path)
-            if d["measure"] not in self.measures:
-                _fail(path, f"undefined measure {d['measure']!r}")
-            if d["region"] not in self.regions:
-                _fail(path, f"undefined region {d['region']!r}")
+        for i, fname in enumerate(_expect(art.get("fields", []), list, "$.artifacts.fields")):
+            _field(self, fname, f"$.artifacts.fields[{i}]")
+        for key, parsers, required in (
+                ("distributions", {"measure": _measure, "field": _field, "variant": _variant},
+                 {"measure", "field"}),
+                ("reconstruction_traces", {"measure": _measure, "region": _region},
+                 {"measure", "region"})):
+            for i, d in enumerate(_expect(art.get(key, []), list, f"$.artifacts.{key}")):
+                path = f"$.artifacts.{key}[{i}]"
+                _require_keys(d, set(parsers), required, path)
+                for k, v in d.items():
+                    parsers[k](self, v, f"{path}.{k}")
+        return art
 
 
 def load_scenario(path, resolution: int | None = None) -> Scenario:
@@ -322,99 +368,53 @@ def _child_seed(master: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _run_check(scenario: Scenario, spec: dict, label: str) -> CheckReport:
-    name = spec["check"]
-    seed = _child_seed(scenario.seed, label)
-    frame = scenario.frame
-    mu = scenario.measures.get(spec.get("measure", ""), None)
-    field = scenario.fields.get(spec.get("field", ""), None)
-    if name == "nonlinearity_example":
-        return checks_mod.check_nonlinearity_example(
-            b=float(spec.get("b", 1.0)), frame=frame,
-            tol=spec.get("tol"), heights=spec.get("heights"))
-    if name == "sga_additivity":
-        return checks_mod.check_sga_additivity(
-            mu, f=field, trials=int(spec.get("trials", 200)), seed=seed,
-            tol=float(spec.get("tol", 1e-6)), frame=frame)
-    if name == "disjoint_support_additivity":
-        return checks_mod.check_disjoint_support_additivity(
-            mu, trials=int(spec.get("trials", 200)), seed=seed,
-            tol=float(spec.get("tol", 1e-6)), frame=frame)
-    if name == "monotone_lipschitz":
-        return checks_mod.check_monotone_lipschitz(
-            mu, trials=int(spec.get("trials", 200)), seed=seed,
-            tol=float(spec.get("tol", 1e-6)), frame=frame)
-    if name == "homogeneity":
-        return checks_mod.check_homogeneity(
-            mu, coeffs=tuple(spec.get("coeffs", (-2.0, -1.0, 0.5, 3.0))),
-            trials=int(spec.get("trials", 200)), seed=seed,
-            tol=float(spec.get("tol", 1e-6)), frame=frame)
-    if name == "positivity":
-        return checks_mod.check_positivity(
-            mu, trials=int(spec.get("trials", 200)), seed=seed, frame=frame)
-    if name == "tm_axioms":
-        return checks_mod.check_tm_axioms(mu, frame=frame, tol=spec.get("tol"))
-    if name == "roundtrip":
-        catalog = {rname: scenario.regions[rname] for rname in spec["regions"]}
-        schedule = BumpSchedule(max_steps=int(spec.get("max_steps", 8)))
-        return checks_mod.check_roundtrip(mu, catalog, schedule,
-                                          rt_tol=spec.get("rt_tol"))
-    if name == "linear_agreement":
-        return checks_mod.check_linear_agreement(
-            mu, field, tol=float(spec.get("tol", 5e-3)),
-            variant=spec.get("variant", "B"))
-    if name == "extension_consistency":
-        return checks_mod.check_extension_consistency(
-            mu, field, ns=tuple(spec.get("ns", (2, 4, 8))),
-            tol=float(spec.get("tol", 1e-9)))
-    if name == "distribution_invariants":
-        return checks_mod.check_distribution_invariants(
-            mu, trials=int(spec.get("trials", 50)), seed=seed, frame=frame,
-            tol=float(spec.get("tol", 1e-9)))
-    raise ConfigError(f"unknown check {name!r}")
-
-
-def _check_labels(specs) -> list[str]:
+def _check_labels(checks) -> list[str]:
     seen: dict[str, int] = {}
     labels = []
-    for spec in specs:
-        base = spec["check"]
-        seen[base] = seen.get(base, 0) + 1
-        labels.append(base if seen[base] == 1 else f"{base}_{seen[base]}")
+    for name, _ in checks:
+        seen[name] = seen.get(name, 0) + 1
+        labels.append(name if seen[name] == 1 else f"{name}_{seen[name]}")
     return labels
 
 
 def _write_artifacts(scenario: Scenario, out_dir: Path):
     art = scenario.artifacts
-    for d in art.get("distributions", []):
+    for i, d in enumerate(art.get("distributions", [])):
         mu = scenario.measures[d["measure"]]
         field = scenario.fields[d["field"]]
-        F = distribution_function(mu, field, d.get("variant", "B"))
+        with _built_at(f"$.artifacts.distributions[{i}]"):
+            F = distribution_function(mu, field, d.get("variant", "B"))
         F.to_csv(out_dir / f"distribution_{d['measure']}_{d['field']}.csv")
     for fname in art.get("fields", []):
         field_to_csv(scenario.fields[fname], out_dir / f"field_{fname}.csv")
-    for d in art.get("reconstruction_traces", []):
+    for i, d in enumerate(art.get("reconstruction_traces", [])):
         mu = scenario.measures[d["measure"]]
         region = scenario.regions[d["region"]]
         rho = QuasiIntegral(mu)
-        if region.role == OPEN:
-            report = mu_rho_open(rho, region)
-        else:
-            report = mu_rho_compact(rho, region)
+        with _built_at(f"$.artifacts.reconstruction_traces[{i}]"):
+            if region.role == OPEN:
+                report = mu_rho_open(rho, region)
+            else:
+                report = mu_rho_compact(rho, region)
         report.trace_to_csv(out_dir / f"reconstruction_{d['measure']}_{d['region']}.csv")
 
 
-def execute_scenario(scenario: Scenario, out_dir=None, threads: int = 1) -> dict:
-    """Run all checks; write report.json and CSV artifacts when out_dir given."""
+def execute_scenario(scenario: Scenario, out_dir=None) -> dict:
+    """Run all checks in order; write CSV artifacts and report.json when out_dir
+    is given.
+
+    A check or artifact that cannot run on the scenario's geometry raises
+    ConfigError at its JSON path, and then no report.json is written.
+    """
     labels = _check_labels(scenario.checks)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(
-                lambda args: _run_check(scenario, *args),
-                zip(scenario.checks, labels)))
-    else:
-        reports = [_run_check(scenario, spec, label)
-                   for spec, label in zip(scenario.checks, labels)]
+    reports = []
+    for i, ((name, kwargs), label) in enumerate(zip(scenario.checks, labels)):
+        fn = _CHECKS[name][0]
+        context = {"seed": _child_seed(scenario.seed, label), "frame": scenario.frame}
+        params = inspect.signature(fn).parameters
+        with _built_at(f"$.checks[{i}]"):
+            reports.append(fn(**kwargs, **{k: v for k, v in context.items()
+                                           if k in params}))
 
     by_label = dict(sorted(zip(labels, reports), key=lambda kv: kv[0]))
     import quasimeasure
@@ -441,17 +441,17 @@ def execute_scenario(scenario: Scenario, out_dir=None, threads: int = 1) -> dict
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        _write_artifacts(scenario, out)
         (out / "report.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n")
-        _write_artifacts(scenario, out)
     return report
 
 
 def run_scenario(path, out_dir=None, seed: int | None = None,
-                 threads: int = 1, resolution: int | None = None) -> int:
+                 resolution: int | None = None) -> int:
     """Load, run, and report; exit code 0 all-pass, 1 failures, 2 config error."""
     scenario = load_scenario(path, resolution)
     if seed is not None:
         scenario.seed = int(seed)
-    report = execute_scenario(scenario, out_dir, threads)
+    report = execute_scenario(scenario, out_dir)
     return 0 if report["passed"] else 1

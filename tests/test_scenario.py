@@ -2,6 +2,7 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasimeasure import ConfigError
 from quasimeasure.cli import main
@@ -82,14 +83,6 @@ class TestDeterminism:
         a.pop("timing")
         b.pop("timing")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-    def test_threads_do_not_change_results(self, nonlinear_path):
-        scenario = load_scenario(nonlinear_path)
-        serial = execute_scenario(scenario, threads=1)
-        parallel = execute_scenario(scenario, threads=4)
-        serial.pop("timing")
-        parallel.pop("timing")
-        assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
 
 
 class TestValidation:
@@ -207,6 +200,41 @@ class TestCli:
         assert main(["run", str(p)]) == 2
         assert f"$.{section}.{name}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, edits, args, where", [
+        ("measure_baseline", {("checks", 6, "trials"): "many"}, [], "$.checks[6].trials"),
+        ("measure_baseline", {("checks", 0, "tol"): "tight"}, [], "$.checks[0].tol"),
+        ("measure_baseline", {("checks", 5, "max_steps"): 0}, [], "$.checks[5].max_steps"),
+        ("measure_baseline", {("checks", 0, "variant"): "C"}, [], "$.checks[0].variant"),
+        ("measure_baseline", {("checks", 0, "field"): ["tent"]}, [], "$.checks[0].field"),
+        ("measure_baseline", {("seed",): "x"}, [], "$.seed"),
+        ("measure_baseline", {("measures",): []}, [], "$.measures"),
+        ("nonlinear_example", {("fields", "h", "of"): [["f"], "g"]}, [], "$.fields.h.of[0]"),
+        ("measure_baseline", {("artifacts", "distributions", 0, "variant"): "Z"}, [],
+         "$.artifacts.distributions[0].variant"),
+        ("nonlinear_example", {("measures", "crossing", "points", 3): [3.125, 6.43]},
+         ["--resolution", "128"], "$.measures.crossing"),
+        ("nonlinear_example", {}, ["--resolution", "32"], "$.checks[0]"),
+        ("nonlinear_example", {("regions", "core", "bounds"): [0.01, 2, 0.01, 2]}, [],
+         "$.checks[2]"),
+        ("nonlinear_example", {("checks", 0, "heights"): "x"}, [], "$.checks[0].heights"),
+        ("nonlinear_example", {("checks", 2, "regions"): "K"}, [], "$.checks[2].regions"),
+        ("measure_baseline", {
+            ("regions", "edge"): {"kind": "rect", "bounds": [0.01, 2, 0.01, 2]},
+            ("artifacts", "reconstruction_traces"): [{"measure": "spikes", "region": "edge"}],
+        }, [], "$.artifacts.reconstruction_traces[0]"),
+    ])
+    def test_malformed_scenario_exits_2_before_any_report(self, tmp_path, capsys, name,
+                                                          edits, args, where):
+        data = json.loads(bundled_scenario_path(name).read_text())
+        for keys, value in edits.items():
+            _set_leaf(data, keys, value)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out), *args]) == 2
+        assert f"{where}: " in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_resolution_flag(self, tmp_path):
         data = small_scenario_dict()
         data["checks"] = [{"check": "nonlinearity_example"}]
@@ -225,3 +253,44 @@ class TestCli:
         r1.pop("timing")
         r2.pop("timing")
         assert r1 == r2 and r1["seed"] == 7
+
+
+def _set_leaf(data, keys, value):
+    *parents, last = keys
+    for key in parents:
+        data = data[key]
+    data[last] = value
+
+
+def _leaves(node, keys=()):
+    """Key paths of every non-container value in a JSON document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else None
+    if items is None:
+        return [keys]
+    return [leaf for k, v in items for leaf in _leaves(v, (*keys, k))]
+
+
+_BUNDLED = {name: json.loads(bundled_scenario_path(name).read_text())
+            for name in ("nonlinear_example", "measure_baseline")}
+_LEAVES = [(name, keys) for name, data in _BUNDLED.items() for keys in _leaves(data)]
+# Numbers stay small: a scenario may ask for max_steps radii or an nx-wide
+# grid, and loading builds them.
+_JSON_VALUES = st.one_of(
+    st.text(max_size=4), st.none(), st.booleans(),
+    st.integers(-3, 300), st.floats(-1e3, 1e3),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(leaf=st.sampled_from(_LEAVES), value=_JSON_VALUES)
+def test_mutated_scenario_loads_or_names_its_path(leaf, value):
+    name, keys = leaf
+    data = copy.deepcopy(_BUNDLED[name])
+    _set_leaf(data, keys, value)
+    try:
+        Scenario(data)
+    except ConfigError as exc:
+        assert str(exc).startswith("$"), str(exc)
