@@ -20,7 +20,7 @@ from .errors import (
     GeometryError,
     TieBreakError,
 )
-from .grid import Frame
+from .grid import Frame, edge_cells
 from .regions import COMPACT, OPEN, Region, dilate
 
 # Relative scale of the value-space tie guard (fraction of the value range).
@@ -43,8 +43,7 @@ class ScalarField:
             raise ValueError(f"values shape {vals.shape} != frame shape {self.frame.shape}")
         if not np.isfinite(vals).all():
             raise ValueError("field values must be finite")
-        boundary = self.frame.boundary_mask()
-        if bool((vals[boundary] != 0.0).any()):
+        if bool((edge_cells(vals) != 0.0).any()):
             raise FrameError("field must vanish on the frame boundary")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -194,7 +193,7 @@ def build_plateau(inner: Region | None, outer: Region, height: float,
         raise DomainError("height must be non-zero")
     if outer.is_empty:
         raise GeometryError("outer region is empty")
-    if bool((outer.mask & outer.frame.boundary_mask()).any()):
+    if bool(edge_cells(outer.mask).any()):
         raise FrameError("outer region touches the frame boundary")
 
     frame = outer.frame
@@ -300,7 +299,7 @@ def superlevel_region(f: ScalarField, t: float, exclude_zero: bool = False) -> R
     mask = vals > t
     if exclude_zero and t < 0:
         mask = mask & (vals != 0.0)
-    if bool((mask & f.frame.boundary_mask()).any()):
+    if bool(edge_cells(mask).any()):
         raise FrameError(
             "superlevel set reaches the frame boundary; "
             "use exclude_zero for negative thresholds"

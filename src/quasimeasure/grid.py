@@ -86,3 +86,8 @@ class Frame:
         m[0, :] = m[-1, :] = True
         m[:, 0] = m[:, -1] = True
         return m
+
+
+def edge_cells(a: np.ndarray) -> np.ndarray:
+    """Entries of the outermost ring of a 2-D array, each corner once."""
+    return np.concatenate((a[0], a[-1], a[1:-1, 0], a[1:-1, -1]))

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DomainError, InfiniteMeasureError, VariantError
 from .fields import ScalarField, scale, sup_norm, truncate
 from .measures import ATOMIC, DENSITY, TopologicalMeasure
-from .regions import COMPACT, OPEN, Region
+from .regions import COMPACT, OPEN, Region, point_cells
 
 VARIANT_A = "A"
 VARIANT_B = "B"
@@ -307,8 +307,6 @@ def linear_oracle(mu: TopologicalMeasure, f: ScalarField) -> float:
         grid = mu._density_grid(f.frame)
         return float(np.sum(f.values * grid)) * f.frame.cell_area
     if kind == ATOMIC:
-        from .regions import point_cells
-
         cells = point_cells(f.frame, mu.points)
         inside = cells[:, 0] >= 0
         if not inside.any():

@@ -22,12 +22,7 @@ import numpy as np
 
 from .fields import ScalarField
 from .grid import Frame
-from .regions import (
-    Region,
-    _component_masks,
-    _hole_masks,
-    point_cells,
-)
+from .regions import Region, _components_in_boxes, _holes, point_cells
 
 POINT_COUNT = "point_count"
 DENSITY = "density"
@@ -54,8 +49,30 @@ class TopologicalMeasure:
         return None
 
 
+class _MarkedPoints:
+    """Marked points whose cells are looked up once per frame.
+
+    A point within tie epsilon of a gridline raises TieBreakError on every
+    lookup, since a failed lookup is not cached.
+    """
+
+    points: np.ndarray
+
+    def _cells(self, frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cell rows and columns of the in-frame points, and which points are in frame."""
+        cached = self._cell_cache.get(frame)
+        if cached is None:
+            cells = point_cells(frame, self.points)
+            inside = cells[:, 0] >= 0
+            cached = (cells[inside, 0], cells[inside, 1], inside)
+            for a in cached:
+                a.setflags(write=False)
+            self._cell_cache[frame] = cached
+        return cached
+
+
 @dataclass(frozen=True, eq=False)
-class PointCountMeasure(TopologicalMeasure):
+class PointCountMeasure(_MarkedPoints, TopologicalMeasure):
     """Solid-set measure driven by marked-point counts.
 
     value_by_count[c] is the mass of a solid region containing c of the
@@ -90,14 +107,13 @@ class PointCountMeasure(TopologicalMeasure):
         table.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "value_by_count", table)
+        object.__setattr__(self, "_cell_cache", {})
 
     def total_mass(self, frame: Frame) -> float:
         return float(self.value_by_count[-1])
 
     def mass(self, region: Region) -> float:
-        cells = point_cells(region.frame, self.points)
-        inside = cells[:, 0] >= 0
-        rows, cols = cells[inside, 0], cells[inside, 1]
+        rows, cols, _ = self._cells(region.frame)
         max_depth = max(region.frame.nx, region.frame.ny)
         return self._mass_of_mask(region.mask, rows, cols, max_depth)
 
@@ -105,18 +121,22 @@ class PointCountMeasure(TopologicalMeasure):
         return float(self.value_by_count[count])
 
     def _mass_of_mask(self, mask, rows, cols, depth) -> float:
+        """Mass of `mask` with the marked points at (rows, cols) in its coordinates.
+
+        Each component and each hole is worked on inside its own box; points
+        outside a box are dropped from it.
+        """
         if depth < 0:
             raise RecursionError("hole nesting exceeds grid depth; mask is corrupt")
         total = 0.0
-        for comp in _component_masks(mask):
-            hole_masks = _hole_masks(comp)
-            hull = comp.copy()
-            for hm in hole_masks:
-                hull |= hm
-            count = int(hull[rows, cols].sum()) if len(rows) else 0
-            val = self._lam(count)
-            for hm in hole_masks:
-                val -= self._mass_of_mask(hm, rows, cols, depth - 1)
+        for (rs, cs), comp in _components_in_boxes(mask):
+            inside = (rows >= rs.start) & (rows < rs.stop) & (cols >= cs.start) & (cols < cs.stop)
+            # hole labels are padded by one ring; label 1 is outside the hull
+            r, c = rows[inside] - (rs.start - 1), cols[inside] - (cs.start - 1)
+            labels, hole_parts = _holes(comp)
+            val = self._lam(int((labels[r, c] != 1).sum()))
+            for (hr, hc), hole in hole_parts:
+                val -= self._mass_of_mask(hole, r - hr.start, c - hc.start, depth - 1)
             total += val
         return total
 
@@ -179,7 +199,7 @@ class DensityMeasure(TopologicalMeasure):
 
 
 @dataclass(frozen=True, eq=False)
-class AtomicMeasure(TopologicalMeasure):
+class AtomicMeasure(_MarkedPoints, TopologicalMeasure):
     """Finitely many weighted point masses."""
 
     points: np.ndarray
@@ -198,15 +218,15 @@ class AtomicMeasure(TopologicalMeasure):
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_cell_cache", {})
 
     def total_mass(self, frame: Frame) -> float:
         return float(self.weights.sum())
 
     def _in_frame(self, frame: Frame):
         """Cell rows, cell columns and weights of the points inside the frame."""
-        cells = point_cells(frame, self.points)
-        inside = cells[:, 0] >= 0
-        return cells[inside, 0], cells[inside, 1], self.weights[inside]
+        rows, cols, inside = self._cells(frame)
+        return rows, cols, self.weights[inside]
 
     def mass(self, region: Region) -> float:
         rows, cols, weights = self._in_frame(region.frame)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import FrameError, FrameMismatchError
-from .grid import Frame
+from .errors import FrameError, FrameMismatchError, TieBreakError
+from .grid import Frame, edge_cells
 
 FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 EIGHT_CONN = np.ones((3, 3), dtype=bool)
@@ -41,7 +41,7 @@ class Region:
             raise ValueError(f"mask shape {mask.shape} != frame shape {self.frame.shape}")
         if self.role not in (OPEN, COMPACT):
             raise ValueError(f"role must be 'open' or 'compact', got {self.role!r}")
-        if self.role == OPEN and bool((mask & self.frame.boundary_mask()).any()):
+        if self.role == OPEN and bool(edge_cells(mask).any()):
             raise FrameError("open-role region may not include frame-boundary cells")
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
@@ -143,61 +143,117 @@ def frame_interior(frame: Frame, margin: int = 1) -> Region:
 # -- components, holes, solidness -------------------------------------
 
 
-def _component_masks(mask: np.ndarray) -> list[np.ndarray]:
-    labels, n = ndimage.label(mask, structure=FOUR_CONN)
-    return [labels == k for k in range(1, n + 1)]
+def _bbox(mask: np.ndarray) -> tuple[slice, slice] | None:
+    """Bounding box of the set cells, or None for an empty mask."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return None
+    r0, r1 = int(rows[0]), int(rows[-1]) + 1
+    cols = np.flatnonzero(mask[r0:r1].any(axis=0))
+    return slice(r0, r1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
-def _hole_masks(mask: np.ndarray) -> list[np.ndarray]:
-    """Bounded 8-connected components of the complement."""
-    labels, n = ndimage.label(~mask, structure=EIGHT_CONN)
-    if n == 0:
+def _shift(box: tuple[slice, slice], r0: int, c0: int) -> tuple[slice, slice]:
+    rows, cols = box
+    return slice(rows.start + r0, rows.stop + r0), slice(cols.start + c0, cols.stop + c0)
+
+
+_Part = tuple[tuple[slice, slice], np.ndarray]  # (box, the set's cells inside the box)
+
+
+def _components_in_boxes(mask: np.ndarray) -> list[_Part]:
+    """Each 4-connected component of `mask`, boxed in `mask`'s coordinates.
+
+    The mask is labelled once, cropped to its bounding box. Raster order inside
+    the box is raster order in the mask, so components come in label order.
+    A lone component's cells are a view of `mask`.
+    """
+    box = _bbox(mask)
+    if box is None:
         return []
-    edge_labels = np.unique(
-        np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])
-    )
-    edge_labels = set(int(v) for v in edge_labels if v != 0)
-    return [labels == k for k in range(1, n + 1) if k not in edge_labels]
+    sub = mask[box]
+    labels, n = ndimage.label(sub, structure=FOUR_CONN)
+    if n == 1:
+        return [(box, sub)]
+    r0, c0 = box[0].start, box[1].start
+    return [(_shift(b, r0, c0), labels[b] == k)
+            for k, b in enumerate(ndimage.find_objects(labels), start=1)]
+
+
+def _holes(mask: np.ndarray) -> tuple[np.ndarray, list[_Part]]:
+    """Labels of the 8-connected complement of `mask` padded by one empty ring,
+    and each hole, boxed in those labels' coordinates, in raster order.
+
+    Label 1 is the pad's component; the labels sit one row and one column
+    below and right of the cells of `mask`. When everything outside `mask` is
+    empty (it is cropped to a box holding all of the set), touching the pad is
+    touching the frame boundary: each cell outside the box reaches the
+    boundary through empty cells. So the holes are exactly the bounded
+    complement components.
+    """
+    complement = np.ones((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    np.logical_not(mask, out=complement[1:-1, 1:-1])
+    labels, n = ndimage.label(complement, structure=EIGHT_CONN)
+    if n == 1:
+        return labels, []
+    if n == 2:
+        # a lone hole is boxed from its own mask: find_objects costs about
+        # as much as the labelling itself
+        hole = labels == 2
+        box = _bbox(hole)
+        return labels, [(box, hole[box])]
+    return labels, [(b, labels[b] == k)
+                    for k, b in enumerate(ndimage.find_objects(labels)[1:], start=2)]
 
 
 def _flip_role(role: str) -> str:
     return COMPACT if role == OPEN else OPEN
 
 
+def _embed(r: Region, box: tuple[slice, slice], sub: np.ndarray, role: str) -> Region:
+    mask = np.zeros(r.frame.shape, dtype=bool)
+    mask[box] = sub
+    return Region(r.frame, mask, role)
+
+
+def _holes_in_frame(r: Region, box: tuple[slice, slice], sub: np.ndarray) -> list[Region]:
+    """Holes of `sub`, the part of r's frame inside `box`, as frame regions."""
+    r0, c0 = box[0].start - 1, box[1].start - 1
+    return [_embed(r, _shift(hb, r0, c0), hole, _flip_role(r.role))
+            for hb, hole in _holes(sub)[1]]
+
+
 def connected_components(r: Region) -> list[Region]:
     """4-connected components, in label order."""
-    return [Region(r.frame, m, r.role) for m in _component_masks(r.mask)]
+    return [_embed(r, box, comp, r.role) for box, comp in _components_in_boxes(r.mask)]
 
 
 def holes(r: Region) -> list[Region]:
     """Bounded complement components of the whole region (role flipped)."""
-    return [Region(r.frame, m, _flip_role(r.role)) for m in _hole_masks(r.mask)]
+    box = _bbox(r.mask)
+    return [] if box is None else _holes_in_frame(r, box, r.mask[box])
 
 
 def is_solid(r: Region) -> bool:
     """Connected with a complement that only reaches the frame boundary."""
-    if r.is_empty:
-        return False
-    _, n = ndimage.label(r.mask, structure=FOUR_CONN)
-    return n == 1 and not _hole_masks(r.mask)
+    comps = _components_in_boxes(r.mask)
+    return len(comps) == 1 and not _holes(comps[0][1])[1]
 
 
 def solid_decomposition(r: Region) -> SolidDecomposition:
-    comps = []
-    for cm in _component_masks(r.mask):
-        comp = Region(r.frame, cm, r.role)
-        comp_holes = tuple(
-            Region(r.frame, hm, _flip_role(r.role)) for hm in _hole_masks(cm)
-        )
-        comps.append((comp, comp_holes))
-    return SolidDecomposition(region=r, components=tuple(comps))
+    comps = tuple(
+        (_embed(r, box, comp, r.role), tuple(_holes_in_frame(r, box, comp)))
+        for box, comp in _components_in_boxes(r.mask)
+    )
+    return SolidDecomposition(region=r, components=comps)
 
 
 def solid_hull(r: Region) -> Region:
     """Region with every hole of every component filled."""
     out = np.array(r.mask)
-    for hm in _hole_masks(r.mask):
-        out |= hm
+    box = _bbox(out)
+    if box is not None:
+        out[box] |= _holes(out[box])[0][1:-1, 1:-1] != 1
     return Region(r.frame, out, r.role)
 
 
@@ -239,8 +295,6 @@ def point_cells(frame: Frame, points: np.ndarray) -> np.ndarray:
     Raises TieBreakError when an inside point sits within tie_eps_geom of a
     gridline, where cell membership would be numerically ambiguous.
     """
-    from .errors import TieBreakError
-
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     eps = frame.tie_eps_geom
     out = np.full((len(pts), 2), -1, dtype=int)

@@ -5,12 +5,16 @@ from quasimeasure import (
     AtomicMeasure,
     DensityMeasure,
     PointCountMeasure,
+    Region,
+    TieBreakError,
     empty_region,
     frame_interior,
     rect_region,
     tm_eval,
 )
-from quasimeasure.presets import MARKED_POINTS
+from quasimeasure import measures
+from quasimeasure.presets import MARKED_POINTS, VALUE_BY_COUNT, standard_frame
+from quasimeasure.regions import point_cells
 
 
 class TestPointCountValidation:
@@ -153,9 +157,59 @@ class TestAtomic:
 
 
 def test_point_count_region_with_point_on_contour_rejected(frame64, crossing):
-    from quasimeasure import TieBreakError
-
     bad = PointCountMeasure(np.array([[0.625, 5.0]]), np.array([0.0, 1.0]))
     r = rect_region(frame64, 1, 9, 1, 9, role="compact")
     with pytest.raises(TieBreakError):
         tm_eval(bad, r)
+
+
+class TestPointCellCache:
+    """Marked-point cells are looked up once per (measure, frame)."""
+
+    def _counted_lookups(self, monkeypatch):
+        calls = []
+
+        def counted(frame, points):
+            calls.append(frame)
+            return point_cells(frame, points)
+
+        monkeypatch.setattr(measures, "point_cells", counted)
+        return calls
+
+    def test_gridline_point_raises_on_first_use_and_is_not_cached(self, frame64):
+        # x = 0.625 is the gridline between columns 3 and 4 at 64x64, not at 100x100
+        bad = PointCountMeasure(np.array([[0.625, 5.03]]), np.array([0.0, 1.0]))
+        frame100 = standard_frame(100)
+        around = rect_region(frame100, 0.5, 0.8, 4.9, 5.1)
+        assert bad.mass(around) == 1.0
+        for _ in range(2):
+            with pytest.raises(TieBreakError):
+                bad.mass(rect_region(frame64, 1, 9, 1, 9, role="compact"))
+        assert bad.mass(around) == 1.0
+
+    def test_each_frame_gets_its_own_cells(self, monkeypatch):
+        mu = PointCountMeasure(MARKED_POINTS, VALUE_BY_COUNT)
+        calls = self._counted_lookups(monkeypatch)
+        frames = [standard_frame(64), standard_frame(100)]
+        for _ in range(3):
+            for frame in frames:
+                for x, y in mu.points:
+                    # the single cell holding (x, y) holds one marked point
+                    cell = np.zeros(frame.shape, dtype=bool)
+                    cell[frame.cell_of(x, y)] = True
+                    assert mu.mass(Region(frame, cell, "compact")) == VALUE_BY_COUNT[1]
+        assert calls == frames
+
+    def test_atomic_results_do_not_change(self, spikes, monkeypatch):
+        mu = AtomicMeasure(spikes.points, spikes.weights)
+        calls = self._counted_lookups(monkeypatch)
+        frames = [standard_frame(64), standard_frame(100)]
+        for _ in range(2):
+            for frame in frames:
+                cells = point_cells(frame, mu.points)
+                inside = cells[:, 0] >= 0
+                rows, cols = cells[inside, 0], cells[inside, 1]
+                r = rect_region(frame, 2.5, 6.0, 2.5, 6.0, role="open")
+                assert mu.mass(r) == float(mu.weights[inside][r.mask[rows, cols]].sum())
+                assert mu.mass(frame_interior(frame)) == 3.75
+        assert calls == frames
