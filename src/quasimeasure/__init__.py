@@ -29,10 +29,8 @@ from .fields import (
     neg_part,
     pos_part,
     scale,
-    sublevel_region,
     sup_distance,
     sup_norm,
-    superlevel_region,
     support_region,
     truncate,
     zero_field,
@@ -40,11 +38,9 @@ from .fields import (
 from .grid import Frame
 from .integration import (
     DistributionFn,
-    ExtensionConsistencyReport,
     QuasiIntegral,
     QuasiIntegralResult,
     distribution_function,
-    extension_consistency,
     interval_mass,
     linear_oracle,
     quasi_integral,
@@ -68,7 +64,6 @@ from .regions import (
     Region,
     SolidDecomposition,
     connected_components,
-    count_points,
     dilate,
     empty_region,
     erode,
@@ -76,8 +71,6 @@ from .regions import (
     holes,
     is_solid,
     rect_region,
-    region_from_rle,
-    region_to_rle,
     solid_decomposition,
     solid_hull,
 )
@@ -87,21 +80,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtomicMeasure", "BumpSchedule", "ConfigError", "DensityMeasure",
-    "DistributionFn", "DomainError", "ExtensionConsistencyReport", "Frame",
-    "FrameError", "FrameMismatchError", "GeometryError",
-    "InfiniteMeasureError", "PiecewiseLinearMap", "PointCountMeasure",
-    "QuasiIntegral", "QuasiIntegralResult", "QuasimeasureError",
-    "ReconstructionReport", "Region", "RoundTripEntry", "ScalarField",
-    "Scenario", "SolidDecomposition", "SupportOverlapError",
-    "TieBreakError", "TopologicalMeasure", "VariantError", "add",
-    "build_plateau", "compose", "connected_components", "count_points",
-    "dilate", "distribution_function", "empty_region", "erode",
-    "execute_scenario", "extension_consistency", "field_to_csv",
-    "frame_interior", "holes", "interval_mass", "is_solid", "linear_oracle",
-    "load_scenario", "mu_rho_compact", "mu_rho_open", "neg_part",
-    "pos_part", "quasi_integral", "rect_region", "region_from_rle",
-    "region_to_rle", "roundtrip", "run_scenario", "scale",
-    "solid_decomposition", "solid_hull", "sublevel_region", "sup_distance",
-    "sup_norm", "superlevel_region", "support_region", "tm_eval", "truncate",
-    "zero_field",
+    "DistributionFn", "DomainError", "Frame", "FrameError",
+    "FrameMismatchError", "GeometryError", "InfiniteMeasureError",
+    "PiecewiseLinearMap", "PointCountMeasure", "QuasiIntegral",
+    "QuasiIntegralResult", "QuasimeasureError", "ReconstructionReport",
+    "Region", "RoundTripEntry", "ScalarField", "Scenario",
+    "SolidDecomposition", "SupportOverlapError", "TieBreakError",
+    "TopologicalMeasure", "VariantError", "add", "build_plateau", "compose",
+    "connected_components", "dilate", "distribution_function", "empty_region",
+    "erode", "execute_scenario", "field_to_csv", "frame_interior", "holes",
+    "interval_mass", "is_solid", "linear_oracle", "load_scenario",
+    "mu_rho_compact", "mu_rho_open", "neg_part", "pos_part", "quasi_integral",
+    "rect_region", "roundtrip", "run_scenario", "scale", "solid_decomposition",
+    "solid_hull", "sup_distance", "sup_norm", "support_region", "tm_eval",
+    "truncate", "zero_field",
 ]

@@ -22,7 +22,7 @@ class DomainError(QuasimeasureError):
 
 
 class TieBreakError(QuasimeasureError):
-    """A threshold or point coincides with sampled data within tie_epsilon."""
+    """A marked point sits within tie epsilon of a gridline, so its cell is ambiguous."""
 
 
 class InfiniteMeasureError(QuasimeasureError):

@@ -13,18 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import (
-    DomainError,
-    FrameError,
-    FrameMismatchError,
-    GeometryError,
-    TieBreakError,
-)
+from .errors import DomainError, FrameError, FrameMismatchError, GeometryError
 from .grid import Frame, edge_cells
-from .regions import COMPACT, OPEN, Region, dilate
-
-# Relative scale of the value-space tie guard (fraction of the value range).
-TIE_EPS_VALUE_FRACTION = 1e-6
+from .regions import COMPACT, Region, dilate
 
 # Tolerance for the phi(0) = 0 contract of piecewise-linear maps.
 _PLM_ZERO_TOL = 1e-12
@@ -52,20 +43,9 @@ class ScalarField:
         if self.frame != other.frame:
             raise FrameMismatchError("fields live on different frames")
 
-    def value_at(self, x: float, y: float) -> float:
-        """Sample at the cell containing (x, y)."""
-        if not self.frame.contains_point(x, y):
-            return 0.0
-        row, col = self.frame.cell_of(x, y)
-        return float(self.values[row, col])
-
     @property
     def value_range(self) -> tuple[float, float]:
         return float(self.values.min()), float(self.values.max())
-
-    def tie_eps_value(self) -> float:
-        lo, hi = self.value_range
-        return (hi - lo) * TIE_EPS_VALUE_FRACTION
 
     def __add__(self, other):
         if isinstance(other, ScalarField):
@@ -270,52 +250,9 @@ def support_region(f: ScalarField, eps: float = 0.0) -> Region:
     core = Region(f.frame, mask, COMPACT)
     if core.is_empty:
         return core
-    try:
-        return dilate(core, 1)
-    except FrameError:
-        # support already reaches the last interior ring; clip at the frame
-        grown = ndimage.binary_dilation(mask, structure=np.ones((3, 3), dtype=bool))
-        return Region(f.frame, grown, COMPACT)
-
-
-# -- level sets -----------------------------------------------------------
-
-
-def superlevel_region(f: ScalarField, t: float, exclude_zero: bool = False) -> Region:
-    """Open-role region of cells with value > t.
-
-    With exclude_zero, cells whose value is exactly 0 are removed for t < 0,
-    matching the superlevel set of the restriction away from the zero set.
-    Thresholds at or above the maximum value give the empty region; any
-    other threshold within tie epsilon of a sampled value is rejected.
-    """
-    vals = f.values
-    if t >= float(vals.max()):
-        return Region(f.frame, np.zeros(f.frame.shape, dtype=bool), OPEN)
-    eps = f.tie_eps_value()
-    near = np.abs(vals - t) <= eps
-    if bool(near.any()):
-        raise TieBreakError(f"threshold {t} collides with sampled values")
-    mask = vals > t
-    if exclude_zero and t < 0:
-        mask = mask & (vals != 0.0)
-    if bool(edge_cells(mask).any()):
-        raise FrameError(
-            "superlevel set reaches the frame boundary; "
-            "use exclude_zero for negative thresholds"
-        )
-    return Region(f.frame, mask, OPEN)
-
-
-def sublevel_region(f: ScalarField, t: float) -> Region:
-    """Compact-role region of cells with value <= t; only meaningful for t < 0."""
-    vals = f.values
-    eps = f.tie_eps_value()
-    if bool((np.abs(vals - t) <= eps).any()):
-        raise TieBreakError(f"threshold {t} collides with sampled values")
-    if t >= 0:
-        raise DomainError("sublevel regions are bounded only for t < 0")
-    return Region(f.frame, vals <= t, COMPACT)
+    # a field vanishes on the edge ring, so the core never touches it and
+    # one ring of dilation stays inside the frame
+    return dilate(core, 1)
 
 
 # -- export ---------------------------------------------------------------

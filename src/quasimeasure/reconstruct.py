@@ -10,7 +10,6 @@ exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import FrameError, GeometryError
@@ -22,35 +21,17 @@ from .regions import COMPACT, OPEN, Region, dilate, erode
 
 @dataclass(frozen=True)
 class BumpSchedule:
-    """Strictly decreasing erosion/dilation radii (in cells) with ramp control.
+    """Erosion/dilation radii max_steps, ..., 2, 1 (in cells) toward the target.
 
-    ramp_width=None picks k * min_cell at radius k, the widest ramp that is
-    always feasible for a k-cell margin.
+    At radius k the ramp is k * min_cell, the widest ramp that is always
+    feasible for a k-cell margin.
     """
 
     max_steps: int = 8
-    radii: tuple[int, ...] | None = None
-    ramp_width: float | None = None
 
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        radii = self.radii
-        if radii is None:
-            radii = tuple(range(self.max_steps, 0, -1))
-            object.__setattr__(self, "radii", radii)
-        else:
-            radii = tuple(int(k) for k in radii)
-            object.__setattr__(self, "radii", radii)
-        if len(radii) == 0 or any(k < 1 for k in radii):
-            raise ValueError("radii must be positive")
-        if any(b >= a for a, b in zip(radii[:-1], radii[1:])):
-            raise ValueError("radii must be strictly decreasing toward the target")
-
-    def ramp_for(self, k: int, min_cell: float) -> float:
-        if self.ramp_width is not None:
-            return self.ramp_width
-        return k * min_cell
 
 
 @dataclass(frozen=True)
@@ -63,19 +44,6 @@ class ReconstructionReport:
     estimate: float
     monotone: bool
     converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "target_cells": self.target.cell_count,
-            "trace": [[k, v] for k, v in self.trace],
-            "estimate": self.estimate,
-            "monotone": self.monotone,
-            "converged": self.converged,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def trace_to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -105,11 +73,10 @@ def mu_rho_open(rho: QuasiIntegral, U: Region,
         return ReconstructionReport(U, "open", (), 0.0, True, True)
     min_cell = U.frame.min_cell
     trace = []
-    for k in schedule.radii:
+    for k in range(schedule.max_steps, 0, -1):
         inner = erode(U, k)
-        ramp = schedule.ramp_for(k, min_cell)
         try:
-            bump = build_plateau(inner, U, 1.0, ramp)
+            bump = build_plateau(inner, U, 1.0, k * min_cell)
         except (GeometryError, FrameError):
             continue
         trace.append((k, rho(bump)))
@@ -141,10 +108,10 @@ def mu_rho_compact(rho: QuasiIntegral, K: Region,
         return ReconstructionReport(K, "compact", (), 0.0, True, True)
     min_cell = K.frame.min_cell
     trace = []
-    for k in schedule.radii:
+    for k in range(schedule.max_steps, 0, -1):
         try:
             outer = dilate(K, k).with_role(OPEN)
-            bump = build_plateau(K, outer, 1.0, schedule.ramp_for(k, min_cell))
+            bump = build_plateau(K, outer, 1.0, k * min_cell)
         except (FrameError, GeometryError):
             continue
         trace.append((k, rho(bump)))
@@ -170,12 +137,12 @@ class RoundTripEntry:
 
 
 def roundtrip(mu: TopologicalMeasure, catalog, schedule: BumpSchedule | None = None,
-              rt_tol: float | None = None, variant: str = "B") -> list[RoundTripEntry]:
+              rt_tol: float | None = None) -> list[RoundTripEntry]:
     """Compare tm_eval with the reconstruction estimate over a region catalog.
 
     catalog: mapping name -> Region, or an iterable of Regions.
     """
-    rho = QuasiIntegral(mu, variant)
+    rho = QuasiIntegral(mu)
     rt_tol = _default_rt_tol(mu) if rt_tol is None else rt_tol
     if isinstance(catalog, dict):
         items = list(catalog.items())

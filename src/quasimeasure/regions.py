@@ -313,48 +313,3 @@ def point_cells(frame: Frame, points: np.ndarray) -> np.ndarray:
             )
         out[idx] = (row, col)
     return out
-
-
-def count_points(r: Region, points: np.ndarray) -> int:
-    """Number of points whose containing cell belongs to the region."""
-    cells = point_cells(r.frame, points)
-    inside = cells[:, 0] >= 0
-    if not inside.any():
-        return 0
-    rows, cols = cells[inside, 0], cells[inside, 1]
-    return int(r.mask[rows, cols].sum())
-
-
-# -- serialization ------------------------------------------------------
-
-
-def region_to_rle(r: Region) -> dict:
-    """Run-length encoding, one list of (start_col, length) runs per row."""
-    runs = []
-    for row in r.mask:
-        row_runs = []
-        padded = np.diff(np.concatenate([[0], row.astype(np.int8), [0]]))
-        starts = np.nonzero(padded == 1)[0]
-        ends = np.nonzero(padded == -1)[0]
-        for s, e in zip(starts, ends):
-            row_runs.append([int(s), int(e - s)])
-        runs.append(row_runs)
-    return {
-        "frame": {
-            "x_min": r.frame.x_min, "x_max": r.frame.x_max,
-            "y_min": r.frame.y_min, "y_max": r.frame.y_max,
-            "nx": r.frame.nx, "ny": r.frame.ny,
-        },
-        "role": r.role,
-        "rows": runs,
-    }
-
-
-def region_from_rle(data: dict) -> Region:
-    f = data["frame"]
-    frame = Frame(f["x_min"], f["x_max"], f["y_min"], f["y_max"], f["nx"], f["ny"])
-    mask = np.zeros(frame.shape, dtype=bool)
-    for j, row_runs in enumerate(data["rows"]):
-        for start, length in row_runs:
-            mask[j, start:start + length] = True
-    return Region(frame, mask, data["role"])

@@ -78,6 +78,12 @@ def _float(scenario, value, path: str) -> float:
     return float(value)
 
 
+def _bool(scenario, value, path: str) -> bool:
+    if not isinstance(value, bool):
+        _fail(path, f"expected true or false, got {value!r}")
+    return value
+
+
 def _floats(scenario, value, path: str) -> tuple[float, ...]:
     return tuple(_float(scenario, v, f"{path}[{j}]")
                  for j, v in enumerate(_expect(value, list, path)))
@@ -174,12 +180,13 @@ class Scenario:
 
     def _parse_frame(self, obj, resolution):
         _require_keys(obj, _FRAME_KEYS, _FRAME_KEYS, "$.frame")
+        x_min, x_max, y_min, y_max = (_float(self, obj[k], f"$.frame.{k}")
+                                      for k in ("x_min", "x_max", "y_min", "y_max"))
+        nx, ny = (_int(self, obj[k], f"$.frame.{k}") for k in ("nx", "ny"))
+        if resolution is not None:
+            nx = ny = int(resolution)
         with _built_at("$.frame"):
-            nx, ny = int(obj["nx"]), int(obj["ny"])
-            if resolution is not None:
-                nx = ny = int(resolution)
-            return Frame(float(obj["x_min"]), float(obj["x_max"]),
-                         float(obj["y_min"]), float(obj["y_max"]), nx, ny)
+            return Frame(x_min, x_max, y_min, y_max, nx, ny)
 
     def _parse_measures(self, obj):
         measures: dict[str, TopologicalMeasure] = {}
@@ -188,9 +195,10 @@ class Scenario:
             kind = spec.get("kind") if isinstance(spec, dict) else None
             if kind == "density":
                 _require_keys(spec, {"kind", "density", "unbounded"}, set(), path)
+                density = _float(self, spec.get("density", 1.0), f"{path}.density")
+                unbounded = _bool(self, spec.get("unbounded", False), f"{path}.unbounded")
                 with _built_at(path):
-                    measures[name] = DensityMeasure(float(spec.get("density", 1.0)),
-                                                    bool(spec.get("unbounded", False)))
+                    measures[name] = DensityMeasure(density, unbounded)
             elif kind in ("point_count", "atomic"):
                 cls, key = ((PointCountMeasure, "value_by_count") if kind == "point_count"
                             else (AtomicMeasure, "weights"))
@@ -217,13 +225,13 @@ class Scenario:
                 bounds = spec.get("bounds")
                 if not (isinstance(bounds, list) and len(bounds) == 4):
                     _fail(path, "rect needs bounds [x0, x1, y0, y1]")
+                bounds = _floats(self, bounds, f"{path}.bounds")
                 with _built_at(path):
-                    regions[name] = rect_region(self.frame, *map(float, bounds),
-                                                role=role)
+                    regions[name] = rect_region(self.frame, *bounds, role=role)
             elif kind == "interior":
+                margin = _int(self, spec.get("margin", 1), f"{path}.margin")
                 with _built_at(path):
-                    regions[name] = frame_interior(self.frame,
-                                                   int(spec.get("margin", 1)))
+                    regions[name] = frame_interior(self.frame, margin)
             elif kind == "empty":
                 regions[name] = empty_region(self.frame, role)
             else:
@@ -234,8 +242,9 @@ class Scenario:
         if isinstance(ref, str):
             return _region(self, ref, path)
         if isinstance(ref, list) and len(ref) == 4:
+            bounds = _floats(self, ref, path)
             with _built_at(path):
-                return rect_region(self.frame, *map(float, ref), role=role)
+                return rect_region(self.frame, *bounds, role=role)
         _fail(path, "expected a region name or bounds [x0, x1, y0, y1]")
 
     def _parse_fields(self, obj):
@@ -273,9 +282,10 @@ class Scenario:
             inner = (self._region_ref(spec["inner"], f"{path}.inner", COMPACT)
                      if "inner" in spec else None)
             outer = self._region_ref(spec["outer"], f"{path}.outer", OPEN)
+            height = _float(self, spec["height"], f"{path}.height")
+            ramp = _float(self, spec["ramp"], f"{path}.ramp")
             with _built_at(path):
-                return build_plateau(inner, outer, float(spec["height"]),
-                                     float(spec["ramp"]))
+                return build_plateau(inner, outer, height, ramp)
         if kind == "sum":
             _require_keys(spec, {"kind", "of"}, {"of"}, path)
             parts = spec["of"]
@@ -291,12 +301,13 @@ class Scenario:
             key = "factor" if kind == "scale" else "delta"
             _require_keys(spec, {"kind", "field", key}, {"field", key}, path)
             ref = spec["field"]
+            value = _float(self, spec[key], f"{path}.{key}")
             if not built(ref, f"{path}.field"):
                 return None
             with _built_at(path):
                 if kind == "scale":
-                    return scale(fields[ref], float(spec["factor"]))
-                return truncate(fields[ref], float(spec["delta"]))
+                    return scale(fields[ref], value)
+                return truncate(fields[ref], value)
         _fail(path, f"unknown field kind {kind!r}")
 
     def _parse_checks(self, obj):

@@ -9,7 +9,6 @@ from quasimeasure import (
     GeometryError,
     PiecewiseLinearMap,
     ScalarField,
-    TieBreakError,
     add,
     build_plateau,
     compose,
@@ -19,7 +18,6 @@ from quasimeasure import (
     scale,
     sup_distance,
     sup_norm,
-    superlevel_region,
     support_region,
     truncate,
     zero_field,
@@ -271,42 +269,9 @@ class TestNormsAndSupport:
     def test_support_of_zero_field_is_empty(self, frame64):
         assert support_region(zero_field(frame64)).is_empty
 
-
-class TestSuperlevel:
-    def test_golden_between_inner_and_outer(self, frame64, golden_pair, regions64):
-        f, _ = golden_pair
-        region = superlevel_region(f, 0.5)
-        assert regions64["K"].with_role("open").subset_of(region)
-        assert region.subset_of(regions64["U"])
-
-    def test_above_max_is_empty(self, golden_pair):
-        f, _ = golden_pair
-        assert superlevel_region(f, 1.0).is_empty
-        assert superlevel_region(f, 7.0).is_empty
-
-    def test_tie_with_sample_value_rejected(self, golden_pair):
-        f, _ = golden_pair
-        # one ramp cell sits exactly at 0.625 = (10/64) / 0.25
-        assert np.any(f.values == 0.625)
-        with pytest.raises(TieBreakError):
-            superlevel_region(f, 0.625)
-
-    def test_negative_threshold_needs_exclude_zero(self, golden_pair):
-        f, _ = golden_pair
-        with pytest.raises(FrameError):
-            superlevel_region(f, -0.3)
-        region = superlevel_region(f, -0.3, exclude_zero=True)
-        assert region.subset_of(support_region(f).with_role("open"))
-
-
-class TestSublevel:
-    def test_matches_complement_of_superlevel_on_support(self, golden_pair):
-        from quasimeasure import DomainError, sublevel_region
-
-        f, g = golden_pair
-        h = f - g
-        region = sublevel_region(h, -0.3)
-        assert np.all(h.values[region.mask] <= -0.3)
-        assert region.role == "compact"
-        with pytest.raises(DomainError):
-            sublevel_region(h, 0.3)
+    def test_support_reaches_the_edge_ring(self, frame64):
+        vals = np.zeros(frame64.shape)
+        vals[1, 5] = vals[-2, -2] = 1.0  # on the last interior ring
+        supp = support_region(ScalarField(frame64, vals))
+        assert supp.mask[0, 4:7].all() and supp.mask[-1, -1]
+        assert supp.mask.sum() == 9 + 9

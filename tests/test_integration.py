@@ -14,7 +14,6 @@ from quasimeasure import (
     add,
     build_plateau,
     distribution_function,
-    extension_consistency,
     interval_mass,
     linear_oracle,
     quasi_integral,
@@ -23,6 +22,7 @@ from quasimeasure import (
     truncate,
     zero_field,
 )
+from quasimeasure.checks import check_extension_consistency
 from quasimeasure.presets import crossing_sum, standard_frame
 
 
@@ -201,6 +201,8 @@ class TestAdditiveExactness:
             DensityMeasure(rng.uniform(0.0, 2.0, size=frame.shape)),
             # some atoms fall outside the frame
             AtomicMeasure(rng.uniform(-1.0, 11.0, size=(40, 2)), rng.uniform(0.1, 2.0, size=40)),
+            # per-cell weights that are all equal: summed one level at a time
+            DensityMeasure(np.full(frame.shape, float(rng.uniform(0.1, 2.0)))),
         ]
         for mu in measures:
             for f in fields:
@@ -225,32 +227,33 @@ class TestAdditiveExactness:
 
 class TestExtensionConsistency:
     def test_golden_schedule_is_exact(self, crossing, golden_pair):
-        report = extension_consistency(crossing, golden_pair[0], ns=(2, 4, 8))
-        assert report.rho_f == 1.0
-        assert [s.rho_tail for s in report.steps] == [0.5, 0.75, 0.875]
-        assert report.converged and report.passed
-        assert all(s.excess == 0.0 for s in report.steps)
+        report = check_extension_consistency(crossing, golden_pair[0], ns=(2, 4, 8))
+        assert report.details["rho_f"] == 1.0
+        assert report.details["tails"] == [0.5, 0.75, 0.875]
+        assert report.details["converged"] and report.passed
+        assert report.trials == 3 and report.failures == 0
 
     def test_small_field_fully_truncated(self, crossing, frame64):
         bump = build_plateau(None, rect_region(frame64, 3, 7, 3, 7, role="open"),
                              0.1, 0.4)
-        report = extension_consistency(crossing, bump, ns=(2,))
+        report = check_extension_consistency(crossing, bump, ns=(2,))
         # the whole field is below the slice: the tail vanishes but the gap
         # still obeys the uniform bound
-        assert report.steps[0].rho_tail == 0.0
-        assert report.steps[0].excess == 0.0
+        assert report.details["tails"] == [0.0]
+        assert report.failures == 0
 
     def test_zero_measure(self, frame64, golden_pair):
-        report = extension_consistency(DensityMeasure(0.0), golden_pair[0])
-        assert report.rho_f == 0.0
-        assert all(s.rho_tail == 0.0 for s in report.steps)
+        report = check_extension_consistency(DensityMeasure(0.0), golden_pair[0])
+        assert report.details["rho_f"] == 0.0
+        assert all(t == 0.0 for t in report.details["tails"])
         assert report.passed
 
     def test_preconditions(self, crossing, golden_pair):
         with pytest.raises(DomainError):
-            extension_consistency(crossing, scale(golden_pair[0], -1.0))
+            check_extension_consistency(crossing, scale(golden_pair[0], -1.0))
         with pytest.raises(InfiniteMeasureError):
-            extension_consistency(DensityMeasure(1.0, unbounded=True), golden_pair[0])
+            check_extension_consistency(DensityMeasure(1.0, unbounded=True),
+                                        golden_pair[0])
 
 
 class TestDistributionValidation:
@@ -302,7 +305,7 @@ def test_single_atom_oracle(frame64):
     mu = AtomicMeasure(np.array([[5.11, 5.57]]), np.array([1.0]))
     f = scale(truncate(build_plateau(
         None, rect_region(frame64, 3, 8, 3, 8, role="open"), 1.0, 0.4), 0.7), 1.0)
-    assert f.value_at(5.11, 5.57) == 0.7
+    assert f.values[frame64.cell_of(5.11, 5.57)] == 0.7
     assert linear_oracle(mu, f) == 0.7
     assert quasi_integral(mu, f).value == 0.7
 

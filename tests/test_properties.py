@@ -17,7 +17,6 @@ from quasimeasure import (
     rect_region,
     scale,
     sup_norm,
-    superlevel_region,
     tm_eval,
     truncate,
 )
@@ -67,14 +66,6 @@ def test_truncation_dominated(rect, ramp, frac):
 def test_sup_norm_absolutely_homogeneous(rect, height, ramp, a):
     f = plateau(rect, height, ramp)
     assert sup_norm(scale(f, a)) == abs(a) * sup_norm(f)
-
-
-@settings(max_examples=40, deadline=None)
-@given(rects, ramps, st.tuples(st.sampled_from([0.1, 0.3]), st.sampled_from([0.5, 0.8])))
-def test_superlevel_sets_nest(rect, ramp, ts):
-    f = plateau(rect, 1.0, ramp)
-    t1, t2 = ts
-    assert superlevel_region(f, t2).subset_of(superlevel_region(f, t1))
 
 
 @settings(max_examples=30, deadline=None)

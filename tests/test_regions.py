@@ -5,9 +5,7 @@ from quasimeasure import (
     FrameError,
     FrameMismatchError,
     Region,
-    TieBreakError,
     connected_components,
-    count_points,
     dilate,
     empty_region,
     erode,
@@ -15,12 +13,9 @@ from quasimeasure import (
     holes,
     is_solid,
     rect_region,
-    region_from_rle,
-    region_to_rle,
     solid_decomposition,
     solid_hull,
 )
-from quasimeasure.presets import MARKED_POINTS
 
 
 def annulus(frame):
@@ -151,32 +146,3 @@ class TestMorphology:
     def test_negative_radius(self, frame64):
         with pytest.raises(ValueError):
             erode(frame_interior(frame64), -1)
-
-
-class TestCountPoints:
-    def test_golden_counts(self, frame64, regions64):
-        assert count_points(regions64["core"], MARKED_POINTS) == 3
-        assert count_points(regions64["K"], MARKED_POINTS) == 4
-        assert count_points(regions64["interior"], MARKED_POINTS) == 5
-        assert count_points(regions64["empty"], MARKED_POINTS) == 0
-
-    def test_point_on_gridline_rejected(self, frame64, regions64):
-        on_line = np.array([[0.625, 5.0]])  # both coordinates on gridlines at 64x64
-        with pytest.raises(TieBreakError):
-            count_points(regions64["interior"], on_line)
-
-    def test_point_outside_frame_ignored(self, frame64, regions64):
-        outside = np.array([[11.0, 11.0], [5.37, 5.63]])
-        assert count_points(regions64["core"], outside) == 1
-
-
-class TestSerialization:
-    def test_rle_roundtrip(self, frame64):
-        r = annulus(frame64).union(rect_region(frame64, 0.5, 1.5, 6.5, 9.3))
-        data = region_to_rle(r)
-        back = region_from_rle(data)
-        assert back == r
-
-    def test_rle_of_empty(self, frame64):
-        r = empty_region(frame64)
-        assert region_from_rle(region_to_rle(r)) == r

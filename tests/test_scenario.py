@@ -185,11 +185,8 @@ class TestCli:
 
     @pytest.mark.parametrize("section, name, key, value", [
         ("measures", "lebesgue", "density", -1.0),
-        ("measures", "lebesgue", "density", "x"),
         ("measures", "spikes", "weights", [1.0, 2.5]),
         ("fields", "mesa", "delta", -0.5),
-        ("regions", "tent_base", "bounds", ["a", 1, 2, 3]),
-        ("fields", "half_tent", "factor", "x"),
     ])
     def test_construction_error_names_its_path(self, baseline_path, tmp_path, capsys,
                                                 section, name, key, value):
@@ -222,6 +219,26 @@ class TestCli:
             ("regions", "edge"): {"kind": "rect", "bounds": [0.01, 2, 0.01, 2]},
             ("artifacts", "reconstruction_traces"): [{"measure": "spikes", "region": "edge"}],
         }, [], "$.artifacts.reconstruction_traces[0]"),
+        # scenario values are checked, not coerced: bool("false") is True
+        ("measure_baseline", {("measures", "lebesgue", "unbounded"): "false"}, [],
+         "$.measures.lebesgue.unbounded"),
+        ("measure_baseline", {("measures", "lebesgue", "density"): "2"}, [],
+         "$.measures.lebesgue.density"),
+        ("measure_baseline", {("measures", "lebesgue", "density"): "x"}, [],
+         "$.measures.lebesgue.density"),
+        ("measure_baseline", {("frame", "nx"): 64.7}, [], "$.frame.nx"),
+        ("measure_baseline", {("frame", "y_max"): "10"}, [], "$.frame.y_max"),
+        ("nonlinear_example", {("regions", "interior", "margin"): 1.5}, [],
+         "$.regions.interior.margin"),
+        ("measure_baseline", {("regions", "tent_base", "bounds"): ["a", 1, 2, 3]}, [],
+         "$.regions.tent_base.bounds[0]"),
+        ("nonlinear_example", {("fields", "f", "inner"): [1, 7, 5, "7"]}, [],
+         "$.fields.f.inner[3]"),
+        ("nonlinear_example", {("fields", "f", "height"): "1"}, [], "$.fields.f.height"),
+        ("nonlinear_example", {("fields", "g", "ramp"): True}, [], "$.fields.g.ramp"),
+        ("measure_baseline", {("fields", "half_tent", "factor"): "x"}, [],
+         "$.fields.half_tent.factor"),
+        ("measure_baseline", {("fields", "mesa", "delta"): [0.6]}, [], "$.fields.mesa.delta"),
     ])
     def test_malformed_scenario_exits_2_before_any_report(self, tmp_path, capsys, name,
                                                           edits, args, where):
