@@ -32,7 +32,7 @@ from .grid import Frame
 from .integration import QuasiIntegral, interval_mass, linear_oracle, quasi_integral
 from .measures import POINT_COUNT, TopologicalMeasure, tm_eval
 from .presets import crossing_fields, crossing_measure, standard_frame
-from .reconstruct import BumpSchedule, roundtrip
+from .reconstruct import BumpSchedule, _default_rt_tol, roundtrip
 from .regions import (COMPACT, OPEN, Region, dilate, empty_region, erode, frame_interior,
                       rect_region)
 
@@ -390,8 +390,7 @@ def check_tm_axioms(mu: TopologicalMeasure, frame: Frame | None = None,
     superadditivity, sampled monotone-chain smoothness, and sampled
     inner/outer regularity schedules."""
     frame = frame or standard_frame()
-    if tol is None:
-        tol = 1e-9 if mu.kind == POINT_COUNT else 1e-3
+    tol = _default_rt_tol(mu) if tol is None else tol
     report = CheckReport("tm_axioms")
 
     def check(label, ok, witness):

@@ -183,14 +183,23 @@ def build_plateau(inner: Region | None, outer: Region, height: float,
         if not inner.subset_of(outer):
             raise GeometryError("inner region is not contained in outer region")
 
-    dist = ndimage.distance_transform_edt(outer.mask, sampling=(frame.dy, frame.dx))
+    dist = distance_map(outer)
     if inner is not None and not inner.is_empty:
         if float(dist[inner.mask].min()) < ramp_width:
             raise GeometryError(
                 "inner region is closer than ramp_width to the boundary of outer"
             )
-    values = height * np.minimum(1.0, dist / ramp_width)
-    return ScalarField(frame, values)
+    return ScalarField(frame, height * unit_ramp(dist, ramp_width))
+
+
+def distance_map(outer: Region) -> np.ndarray:
+    """Distance from each cell center to the nearest center outside `outer`."""
+    return ndimage.distance_transform_edt(outer.mask, sampling=(outer.frame.dy, outer.frame.dx))
+
+
+def unit_ramp(dist: np.ndarray, ramp_width: float) -> np.ndarray:
+    """min(1, dist / ramp_width): the plateau of height one over a distance map."""
+    return np.minimum(1.0, dist / ramp_width)
 
 
 # -- pointwise algebra ----------------------------------------------------

@@ -89,6 +89,14 @@ def _floats(scenario, value, path: str) -> tuple[float, ...]:
                  for j, v in enumerate(_expect(value, list, path)))
 
 
+def _points(scenario, value, path: str) -> tuple[tuple[float, ...], ...]:
+    pairs = _expect(value, list, path)
+    for j, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            _fail(f"{path}[{j}]", f"expected a point [x, y], got {pair!r}")
+    return tuple(_floats(scenario, pair, f"{path}[{j}]") for j, pair in enumerate(pairs))
+
+
 def _variant(scenario, value, path: str) -> str:
     if value not in ("A", "B"):
         _fail(path, f"variant must be 'A' or 'B', got {value!r}")
@@ -203,9 +211,10 @@ class Scenario:
                 cls, key = ((PointCountMeasure, "value_by_count") if kind == "point_count"
                             else (AtomicMeasure, "weights"))
                 _require_keys(spec, {"kind", "points", key}, {"points", key}, path)
+                points = _points(self, spec["points"], f"{path}.points")
+                values = _floats(self, spec[key], f"{path}.{key}")
                 with _built_at(path):
-                    measures[name] = cls(np.asarray(spec["points"], dtype=float),
-                                         np.asarray(spec[key], dtype=float))
+                    measures[name] = cls(points, values)
                     # a marked point on a gridline is rejected here, once
                     point_cells(self.frame, measures[name].points)
             else:
@@ -402,11 +411,9 @@ def _write_artifacts(scenario: Scenario, out_dir: Path):
         mu = scenario.measures[d["measure"]]
         region = scenario.regions[d["region"]]
         rho = QuasiIntegral(mu)
+        estimator = mu_rho_open if region.role == OPEN else mu_rho_compact
         with _built_at(f"$.artifacts.reconstruction_traces[{i}]"):
-            if region.role == OPEN:
-                report = mu_rho_open(rho, region)
-            else:
-                report = mu_rho_compact(rho, region)
+            report = estimator(rho, region)
         report.trace_to_csv(out_dir / f"reconstruction_{d['measure']}_{d['region']}.csv")
 
 

@@ -1,19 +1,32 @@
+from dataclasses import dataclass
+
+import numpy as np
 import pytest
 
 from quasimeasure import (
+    AtomicMeasure,
     BumpSchedule,
     DensityMeasure,
+    Frame,
     FrameError,
     GeometryError,
+    PointCountMeasure,
     QuasiIntegral,
+    QuasimeasureError,
+    Region,
+    build_plateau,
+    dilate,
     empty_region,
+    erode,
     mu_rho_compact,
     mu_rho_open,
     rect_region,
     roundtrip,
     tm_eval,
 )
-from quasimeasure.presets import roundtrip_catalog
+from quasimeasure.presets import VALUE_BY_COUNT, roundtrip_catalog, standard_frame
+from quasimeasure.reconstruct import _default_rt_tol
+from quasimeasure.regions import COMPACT, OPEN
 
 
 class TestBumpSchedule:
@@ -131,10 +144,6 @@ class TestRoundTrip:
         for e in entries:
             assert e.gap <= 1e-9, (e.name, e.gap)
 
-    def test_list_catalog(self, frame64, crossing, regions64):
-        entries = roundtrip(crossing, [regions64["core"], regions64["K"]])
-        assert [e.name for e in entries] == ["region_0", "region_1"]
-
     def test_report_serialization(self, frame64, crossing, regions64, tmp_path):
         report = mu_rho_compact(QuasiIntegral(crossing), regions64["core"])
         path = tmp_path / "trace.csv"
@@ -151,3 +160,175 @@ def test_reconstructed_values_stay_in_table_range(frame64, crossing):
     for e in entries:
         assert e.reconstructed in table_values
         assert all(v in table_values for _, v in e.report.trace)
+
+
+# -- the one schedule loop against the two per-radius bodies it replaced ----
+#
+# `_ref_mu_rho_open` and `_ref_mu_rho_compact` are the earlier
+# implementation: a fresh `build_plateau` at every radius, the open side with
+# an eroded flat top and a feasibility retry. The schedule loop must give the
+# same trace, flags and errors bit for bit, so every comparison is `==`.
+
+
+@dataclass(frozen=True)
+class _RefReport:
+    target: Region
+    kind: str
+    trace: tuple
+    estimate: float
+    monotone: bool
+    converged: bool
+
+
+def _ref_mu_rho_open(rho, U, schedule=None, rt_tol=None):
+    if U.role != OPEN:
+        raise GeometryError("mu_rho_open expects an open-role region")
+    schedule = schedule or BumpSchedule()
+    rt_tol = _default_rt_tol(rho.mu) if rt_tol is None else rt_tol
+    if U.is_empty:
+        return _RefReport(U, "open", (), 0.0, True, True)
+    min_cell = U.frame.min_cell
+    trace = []
+    for k in range(schedule.max_steps, 0, -1):
+        inner = erode(U, k)
+        try:
+            bump = build_plateau(inner, U, 1.0, k * min_cell)
+        except (GeometryError, FrameError):
+            continue
+        trace.append((k, rho(bump)))
+    if not trace:
+        raise GeometryError("no schedule step produced a feasible plateau")
+    values = [v for _, v in trace]
+    return _RefReport(
+        target=U, kind="open", trace=tuple(trace), estimate=max(values),
+        monotone=all(b >= a - rt_tol for a, b in zip(values[:-1], values[1:])),
+        converged=len(values) >= 2 and abs(values[-1] - values[-2]) <= rt_tol,
+    )
+
+
+def _ref_mu_rho_compact(rho, K, schedule=None, rt_tol=None):
+    if K.role != COMPACT:
+        raise GeometryError("mu_rho_compact expects a compact-role region")
+    schedule = schedule or BumpSchedule()
+    rt_tol = _default_rt_tol(rho.mu) if rt_tol is None else rt_tol
+    if K.is_empty:
+        return _RefReport(K, "compact", (), 0.0, True, True)
+    min_cell = K.frame.min_cell
+    trace = []
+    for k in range(schedule.max_steps, 0, -1):
+        try:
+            outer = dilate(K, k).with_role(OPEN)
+            bump = build_plateau(K, outer, 1.0, k * min_cell)
+        except (FrameError, GeometryError):
+            continue
+        trace.append((k, rho(bump)))
+    if not trace:
+        raise FrameError("every dilation in the schedule exits the frame")
+    values = [v for _, v in trace]
+    return _RefReport(
+        target=K, kind="compact", trace=tuple(trace), estimate=min(values),
+        monotone=all(b <= a + rt_tol for a, b in zip(values[:-1], values[1:])),
+        converged=len(values) >= 2 and abs(values[-1] - values[-2]) <= rt_tol,
+    )
+
+
+_FRAMES = {
+    "64": standard_frame(64),
+    "100": standard_frame(100),
+    "96x64": Frame(0.0, 15.0, 0.0, 10.0, 96, 64),
+    "anisotropic": Frame(0.0, 10.0, 0.0, 10.0, 80, 48),
+}
+
+
+def _cell_center_points(rng, frame, n):
+    """n marked points at cell centers off the edge ring, clear of every gridline."""
+    ny, nx = frame.shape
+    rows = rng.integers(1, ny - 1, size=n)
+    cols = rng.integers(1, nx - 1, size=n)
+    return np.column_stack([frame.x_min + (cols + 0.5) * frame.dx,
+                            frame.y_min + (rows + 0.5) * frame.dy])
+
+
+def _measure(kind, frame, rng):
+    if kind == "point_count":
+        return PointCountMeasure(_cell_center_points(rng, frame, 5), VALUE_BY_COUNT)
+    if kind == "density":
+        return DensityMeasure(0.7)
+    return AtomicMeasure(_cell_center_points(rng, frame, 4), rng.uniform(0.1, 3.0, size=4))
+
+
+def _rect(mask, rng, lo, hi_r, hi_c, h_max, w_max):
+    h, w = rng.integers(1, h_max + 1), rng.integers(1, w_max + 1)
+    r, c = rng.integers(lo, hi_r - h + 1), rng.integers(lo, hi_c - w + 1)
+    mask[r:r + h, c:c + w] = True
+    return r, c, h, w
+
+
+def _target_mask(shape_kind, frame, rng, edge_gap):
+    """A seeded mask: several components, a holed block, thin strips, or a set
+    `edge_gap` cells inside the edge ring (0: on the ring itself)."""
+    ny, nx = frame.shape
+    mask = np.zeros(frame.shape, dtype=bool)
+    if shape_kind == "components":
+        for _ in range(rng.integers(2, 5)):
+            _rect(mask, rng, 2, ny - 2, nx - 2, ny // 4, nx // 4)
+    elif shape_kind == "holes":
+        r, c, h, w = _rect(mask, rng, 3, ny - 3, nx - 3, ny - 6, nx - 6)
+        for _ in range(rng.integers(1, 4)):
+            if h > 4 and w > 4:
+                hr, hc = rng.integers(r + 1, r + h - 2), rng.integers(c + 1, c + w - 2)
+                mask[hr:hr + rng.integers(1, 3), hc:hc + rng.integers(1, 3)] = False
+    elif shape_kind == "strips":
+        for width in rng.integers(1, 5, size=3):
+            if rng.random() < 0.5:
+                r = rng.integers(2, ny - 2 - width)
+                mask[r:r + width, 2:nx - 2] = True
+            else:
+                c = rng.integers(2, nx - 2 - width)
+                mask[2:ny - 2, c:c + width] = True
+    else:
+        d = edge_gap
+        h, w = rng.integers(1, ny // 3), rng.integers(1, nx // 3)
+        corner = rng.integers(0, 4)
+        r = d if corner < 2 else ny - d - h
+        c = d if corner % 2 == 0 else nx - d - w
+        mask[r:r + h, c:c + w] = True
+    return mask
+
+
+def _outcome(estimator, rho, region, schedule, rt_tol):
+    try:
+        r = estimator(rho, region, schedule, rt_tol)
+    except QuasimeasureError as exc:
+        return type(exc)
+    return r.trace, r.estimate, r.monotone, r.converged
+
+
+@pytest.mark.parametrize("measure_kind", ["point_count", "density", "atomic"])
+@pytest.mark.parametrize("frame_name", list(_FRAMES))
+def test_schedule_equals_per_radius_plateaus(frame_name, measure_kind):
+    frame = _FRAMES[frame_name]
+    rng = np.random.default_rng([len(frame_name), frame.nx, frame.ny, len(measure_kind)])
+    rho = QuasiIntegral(_measure(measure_kind, frame, rng))
+    outcomes = []
+    for i in range(24):
+        shape_kind = ("components", "holes", "strips", "edge")[i % 4]
+        mask = _target_mask(shape_kind, frame, rng, edge_gap=(i // 4) % 5)
+        schedule = BumpSchedule(max_steps=1 + i % 8)
+        rt_tol = (None, 0.0)[(i // 8) % 2]
+        if shape_kind == "edge":
+            K = Region(frame, mask, COMPACT)
+            pair = [(mu_rho_compact, _ref_mu_rho_compact, K)]
+        else:
+            mask[0, :] = mask[-1, :] = mask[:, 0] = mask[:, -1] = False
+            pair = [(mu_rho_open, _ref_mu_rho_open, Region(frame, mask, OPEN)),
+                    (mu_rho_compact, _ref_mu_rho_compact, Region(frame, mask, COMPACT))]
+        for new, ref, region in pair:
+            got = _outcome(new, rho, region, schedule, rt_tol)
+            want = _outcome(ref, rho, region, schedule, rt_tol)
+            assert got == want, (shape_kind, region.role, schedule.max_steps)
+            outcomes.append((region.role, schedule.max_steps, got))
+    # the seeded targets reach the compact side's skipped steps and its error
+    assert any(got is FrameError for _, _, got in outcomes)
+    assert any(role == COMPACT and got is not FrameError and len(got[0]) < steps
+               for role, steps, got in outcomes)

@@ -239,6 +239,22 @@ class TestCli:
         ("measure_baseline", {("fields", "half_tent", "factor"): "x"}, [],
          "$.fields.half_tent.factor"),
         ("measure_baseline", {("fields", "mesa", "delta"): [0.6]}, [], "$.fields.mesa.delta"),
+        # measure arrays are checked entry by entry, not coerced by numpy
+        ("measure_baseline", {("measures", "spikes", "weights"): ["1.0", "2.5", "0.25"]}, [],
+         "$.measures.spikes.weights[0]"),
+        ("measure_baseline", {("measures", "spikes", "weights"): [True, True, False]}, [],
+         "$.measures.spikes.weights[0]"),
+        ("measure_baseline", {("measures", "spikes", "weights"): 1.0}, [],
+         "$.measures.spikes.weights"),
+        ("measure_baseline", {("measures", "spikes", "points", 1): ["6.47", 2.93]}, [],
+         "$.measures.spikes.points[1][0]"),
+        ("measure_baseline", {("measures", "spikes", "points"): [3.13, 7.21, 6.47, 2.93,
+                                                                 5.11, 5.57]}, [],
+         "$.measures.spikes.points[0]"),
+        ("nonlinear_example", {("measures", "crossing", "value_by_count", 2): "0.5"}, [],
+         "$.measures.crossing.value_by_count[2]"),
+        ("nonlinear_example", {("measures", "crossing", "points", 0): [5.37, 5.63, 1.0]}, [],
+         "$.measures.crossing.points[0]"),
     ])
     def test_malformed_scenario_exits_2_before_any_report(self, tmp_path, capsys, name,
                                                           edits, args, where):
