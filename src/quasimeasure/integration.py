@@ -18,7 +18,9 @@ sampled value. Each family of measure builds it exactly, in one way:
   cumulative sum;
 * a point-count measure is not additive, so its jumps are located by
   monotone bisection over the gaps between distinct sampled values, one
-  mass evaluation per probe.
+  mass evaluation per probe. A bracket splits at a marked point's level
+  when one lies inside it, since a point leaves {f > t} exactly there, and
+  every probe is a mask of the field cropped to the box of {f != 0}.
 
 Either way the integral carries no quadrature error.
 """
@@ -32,8 +34,8 @@ import numpy as np
 
 from .errors import DomainError, InfiniteMeasureError, VariantError
 from .fields import ScalarField
-from .measures import ATOMIC, DENSITY, TopologicalMeasure
-from .regions import COMPACT, OPEN, Region, point_cells
+from .measures import ATOMIC, DENSITY, PointCountMeasure, TopologicalMeasure
+from .regions import _bbox, point_cells
 
 VARIANT_A = "A"
 VARIANT_B = "B"
@@ -135,13 +137,30 @@ class _LevelEvaluator:
 
     Segment i is the constancy interval [v_i, v_{i+1}) of F; segment -1 is
     the ray below the range, segment m-1 the zero tail.
+
+    A marked point leaves {f > t} exactly when t crosses its cell's value v_j,
+    between segments j - 1 and j; those segments are the anchors at which
+    `refine` prefers to split a bracket.
+
+    Every probe mask lies inside the bounding box of {f != 0}: {f > t} for
+    t >= 0, and for t < 0 either {f > t} off the zero set or {f <= t}. So the
+    field is cropped to that box once and each probe is a mask of the crop,
+    with the marked points shifted into its coordinates. The field is 0 on
+    the frame's edge ring, so no probe touches the edge and none would fail
+    the open-role edge check of a full-frame Region.
     """
 
-    def __init__(self, mu: TopologicalMeasure, f: ScalarField, variant: str):
+    def __init__(self, mu: PointCountMeasure, f: ScalarField, variant: str):
         self.mu = mu
-        self.f = f
         self.variant = variant
         self.levels = np.unique(f.values)
+        rows, cols = mu.marked_cells(f.frame)
+        j = np.searchsorted(self.levels, f.values[rows, cols])
+        self.anchors = np.unique(np.concatenate((j - 1, j))).tolist()
+        box = _bbox(f.values) or (slice(0, 0), slice(0, 0))  # cells with f != 0
+        self.sub = f.values[box]
+        self.rows, self.cols = rows - box[0].start, cols - box[1].start
+        self.max_depth = max(f.frame.nx, f.frame.ny)
         self.cache: dict[int, float] = {}
         self.evals = 0
         if variant == VARIANT_A:
@@ -156,21 +175,20 @@ class _LevelEvaluator:
     def threshold_for_segment(self, i: int) -> float:
         return 0.5 * (self.levels[i] + self.levels[i + 1])
 
+    def mass_of_crop(self, mask: np.ndarray) -> float:
+        """Mass of the set whose cells in the crop are `mask`."""
+        self.evals += 1
+        return self.mu._mass_of_mask(mask, self.rows, self.cols, self.max_depth)
+
     def value_at_threshold(self, t: float) -> float:
         """F(t) for a t strictly between sampled values."""
-        vals = self.f.values
-        frame = self.f.frame
-        self.evals += 1
-        if self.variant == VARIANT_B:
-            if t >= 0:
-                mask = vals > t
-            else:
-                mask = (vals > t) & (vals != 0.0)
-            return self.mu.mass(Region(frame, mask, OPEN))
+        sub = self.sub
         if t >= 0:
-            return self.mu.mass(Region(frame, vals > t, OPEN))
+            return self.mass_of_crop(sub > t)
+        if self.variant == VARIANT_B:
+            return self.mass_of_crop((sub > t) & (sub != 0.0))
         # co-compact superlevel set: total mass minus the compact sublevel set
-        return self.total - self.mu.mass(Region(frame, vals <= t, COMPACT))
+        return self.total - self.mass_of_crop(sub <= t)
 
     def segment_value(self, i: int) -> float:
         if i in self.cache:
@@ -181,10 +199,7 @@ class _LevelEvaluator:
             if self.variant == VARIANT_A:
                 val = self.total
             else:
-                val = self.mu.mass(
-                    Region(self.f.frame, self.f.values != 0.0, OPEN)
-                )
-                self.evals += 1
+                val = self.mass_of_crop(self.sub != 0.0)
         else:
             val = self.value_at_threshold(self.threshold_for_segment(i))
         self.cache[i] = val
@@ -194,7 +209,9 @@ class _LevelEvaluator:
         """Locate all jumps of F between segments lo < hi exactly.
 
         F is non-increasing, so equal endpoint values mean no jump anywhere
-        in between and the bracket is pruned whole.
+        in between and the bracket is pruned whole. The split point only
+        decides where to probe: the anchor nearest the middle when one lies
+        strictly inside, else the middle.
         """
         flo = self.segment_value(lo)
         fhi = self.segment_value(hi)
@@ -203,14 +220,18 @@ class _LevelEvaluator:
         if hi == lo + 1:
             jumps.append((float(self.levels[hi]), fhi))
             return
-        mid = (lo + hi) // 2
+        inside = [a for a in self.anchors if lo < a < hi]
+        if inside:
+            mid = min(inside, key=lambda a: abs(2 * a - lo - hi))
+        else:
+            mid = (lo + hi) // 2
         self.refine(lo, mid, jumps)
         self.refine(mid, hi, jumps)
 
 
-def _bisection(mu: TopologicalMeasure, f: ScalarField,
+def _bisection(mu: PointCountMeasure, f: ScalarField,
                variant: str) -> tuple[DistributionFn, int]:
-    """F by monotone bisection, for a measure that has no atoms to sum."""
+    """F by monotone bisection: the point-count measure has no atoms to sum."""
     ev = _LevelEvaluator(mu, f, variant)
     levels = ev.levels
     jumps: list[tuple[float, float]] = []

@@ -48,6 +48,10 @@ class TopologicalMeasure:
         """
         return None
 
+    def marked_cells(self, frame: Frame) -> tuple[np.ndarray, np.ndarray]:
+        """Cell rows and columns of the in-frame marked points; none by default."""
+        return np.empty(0, dtype=int), np.empty(0, dtype=int)
+
 
 class _MarkedPoints:
     """Marked points whose cells are looked up once per frame.
@@ -69,6 +73,10 @@ class _MarkedPoints:
                 a.setflags(write=False)
             self._cell_cache[frame] = cached
         return cached
+
+    def marked_cells(self, frame: Frame) -> tuple[np.ndarray, np.ndarray]:
+        rows, cols, _ = self._cells(frame)
+        return rows, cols
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +121,7 @@ class PointCountMeasure(_MarkedPoints, TopologicalMeasure):
         return float(self.value_by_count[-1])
 
     def mass(self, region: Region) -> float:
-        rows, cols, _ = self._cells(region.frame)
+        rows, cols = self.marked_cells(region.frame)
         max_depth = max(region.frame.nx, region.frame.ny)
         return self._mass_of_mask(region.mask, rows, cols, max_depth)
 

@@ -22,8 +22,11 @@ from quasimeasure import (
     truncate,
     zero_field,
 )
+from quasimeasure import integration
 from quasimeasure.checks import check_extension_consistency
-from quasimeasure.presets import crossing_sum, standard_frame
+from quasimeasure.integration import VARIANT_A, VARIANT_B
+from quasimeasure.presets import crossing_fields, crossing_sum, standard_frame
+from quasimeasure.regions import COMPACT, OPEN, Region
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +158,13 @@ def _cone(n, cx, cy, radius):
     frame = standard_frame(n)
     xx, yy = frame.center_grids()
     return ScalarField(frame, np.maximum(0.0, 1.0 - np.hypot(xx - cx, yy - cy) / radius))
+
+
+def _pyramid(n, cx, cy, radius):
+    frame = standard_frame(n)
+    xx, yy = frame.center_grids()
+    d = np.maximum(np.abs(xx - cx), np.abs(yy - cy))
+    return ScalarField(frame, np.maximum(0.0, 1.0 - d / radius))
 
 
 def _ring(n, cx, cy, inner, outer, ramp):
@@ -313,3 +323,186 @@ def test_single_atom_oracle(frame64):
 def test_density_oracle_between_inner_and_outer_area(frame64, lebesgue, golden_pair, regions64):
     oracle = linear_oracle(lebesgue, golden_pair[0])
     assert regions64["K"].area <= oracle <= regions64["U"].area
+
+
+# -- anchored bisection against the midpoint bisection ------------------------
+#
+# _MidpointEvaluator and _midpoint_bisection are the point-count bisection as
+# it was before it split brackets at the marked points' levels and probed on
+# the support box, kept verbatim as the oracle: every probe is a full-frame
+# Region and every bracket splits at its middle.
+
+
+class _MidpointEvaluator:
+    """Evaluates F segment-by-segment over the distinct sampled values.
+
+    Segment i is the constancy interval [v_i, v_{i+1}) of F; segment -1 is
+    the ray below the range, segment m-1 the zero tail.
+    """
+
+    def __init__(self, mu, f, variant: str):
+        self.mu = mu
+        self.f = f
+        self.variant = variant
+        self.levels = np.unique(f.values)
+        self.cache: dict[int, float] = {}
+        self.evals = 0
+        if variant == VARIANT_A:
+            self.total = mu.total_mass(f.frame)
+            if math.isinf(self.total):
+                raise InfiniteMeasureError("variant A requires a finite measure")
+
+    @property
+    def m(self) -> int:
+        return len(self.levels)
+
+    def threshold_for_segment(self, i: int) -> float:
+        return 0.5 * (self.levels[i] + self.levels[i + 1])
+
+    def value_at_threshold(self, t: float) -> float:
+        """F(t) for a t strictly between sampled values."""
+        vals = self.f.values
+        frame = self.f.frame
+        self.evals += 1
+        if self.variant == VARIANT_B:
+            if t >= 0:
+                mask = vals > t
+            else:
+                mask = (vals > t) & (vals != 0.0)
+            return self.mu.mass(Region(frame, mask, OPEN))
+        if t >= 0:
+            return self.mu.mass(Region(frame, vals > t, OPEN))
+        # co-compact superlevel set: total mass minus the compact sublevel set
+        return self.total - self.mu.mass(Region(frame, vals <= t, COMPACT))
+
+    def segment_value(self, i: int) -> float:
+        if i in self.cache:
+            return self.cache[i]
+        if i >= self.m - 1:
+            val = 0.0
+        elif i < 0:
+            if self.variant == VARIANT_A:
+                val = self.total
+            else:
+                val = self.mu.mass(
+                    Region(self.f.frame, self.f.values != 0.0, OPEN)
+                )
+                self.evals += 1
+        else:
+            val = self.value_at_threshold(self.threshold_for_segment(i))
+        self.cache[i] = val
+        return val
+
+    def refine(self, lo: int, hi: int, jumps: list[tuple[float, float]]):
+        """Locate all jumps of F between segments lo < hi exactly.
+
+        F is non-increasing, so equal endpoint values mean no jump anywhere
+        in between and the bracket is pruned whole.
+        """
+        flo = self.segment_value(lo)
+        fhi = self.segment_value(hi)
+        if flo == fhi:
+            return
+        if hi == lo + 1:
+            jumps.append((float(self.levels[hi]), fhi))
+            return
+        mid = (lo + hi) // 2
+        self.refine(lo, mid, jumps)
+        self.refine(mid, hi, jumps)
+
+
+def _midpoint_bisection(mu, f, variant: str) -> tuple[DistributionFn, int]:
+    """F by monotone bisection, for a measure that has no atoms to sum."""
+    ev = _MidpointEvaluator(mu, f, variant)
+    levels = ev.levels
+    jumps: list[tuple[float, float]] = []
+    ev.refine(0, ev.m - 1, jumps)
+    F = DistributionFn(
+        thresholds=np.array([levels[0]] + [t for t, _ in jumps]),
+        values=np.array([ev.segment_value(0)] + [v for _, v in jumps]),
+        domain=(float(levels[0]), float(levels[-1])),
+        left_limit=ev.segment_value(-1), total_mass=mu.total_mass(f.frame),
+    )
+    return F, ev.evals
+
+
+def _signed_sum(n, rng):
+    """One to three cones, pyramids and one-hole rings with signed heights."""
+    f = None
+    for _ in range(int(rng.integers(1, 4))):
+        cx, cy = rng.uniform(3.5, 6.5, size=2)
+        kind = int(rng.integers(3))
+        if kind == 0:
+            part = _cone(n, cx, cy, rng.uniform(1.0, 3.0))
+        elif kind == 1:
+            part = _pyramid(n, cx, cy, rng.uniform(1.0, 3.0))
+        else:
+            part = _ring(n, cx, cy, rng.uniform(0.3, 1.0), rng.uniform(1.8, 2.8), 0.3)
+        part = scale(part, float(rng.uniform(-2.0, 2.0)))
+        f = part if f is None else add(f, part)
+    return f
+
+
+def _gate_fields(kind, n):
+    if kind == "golden":
+        f, g = crossing_fields(standard_frame(n), 1.0)
+        fields = [f, g, add(f, g)]
+    else:
+        rng = np.random.default_rng([n, 8])
+        fields = [_signed_sum(n, rng) for _ in range(10)]
+    # a negated field holds -0.0 wherever it vanishes, the edge ring included
+    return fields + [scale(f, -1.0) for f in fields]
+
+
+def _same_distribution(F, G):
+    assert F.breakpoints == G.breakpoints
+    # repr tells -0.0 from 0.0, as the CSV of F does
+    assert repr(F.breakpoints) == repr(G.breakpoints)
+    assert F.left_limit == G.left_limit
+
+
+class TestAnchoredBisection:
+    """The point-count bisection is the midpoint bisection with fewer probes."""
+
+    @pytest.mark.parametrize("kind,n", [
+        ("sums", 64), ("sums", 100), ("sums", 128), ("sums", 256),
+        ("golden", 64), ("golden", 100), ("golden", 333), ("golden", 512),
+    ])
+    def test_equals_midpoint_bisection(self, crossing, kind, n):
+        evals = oracle_evals = 0
+        for f in _gate_fields(kind, n):
+            for variant in (VARIANT_A, VARIANT_B):
+                res = quasi_integral(crossing, f, variant)
+                F, ev = _midpoint_bisection(crossing, f, variant)
+                _same_distribution(res.distribution, F)
+                assert res.value == F.integral() + F.domain[0] * F.left_limit
+                assert res.diagnostics.refinement_iterations <= ev
+                evals += res.diagnostics.refinement_iterations
+                oracle_evals += ev
+        assert evals < oracle_evals
+        if kind == "golden":
+            f, g, h = _gate_fields(kind, n)[:3]
+            for variant in (VARIANT_A, VARIANT_B):
+                assert [quasi_integral(crossing, x, variant).value
+                        for x in (f, g, h)] == [1.0, 1.0, 1.5]
+
+    @pytest.mark.parametrize("n", [64, 100])
+    def test_split_points_do_not_decide_jumps(self, crossing, monkeypatch, n):
+        """Any interior split points give the same F as the marked points' levels."""
+        rng = np.random.default_rng([n, 9])
+
+        class RandomSplits(integration._LevelEvaluator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                k = int(rng.integers(1, 12))
+                self.anchors = sorted(rng.integers(1, max(self.m - 1, 2), size=k).tolist())
+
+        fields = _gate_fields("sums", n) + _gate_fields("golden", n)
+        expected = [distribution_function(crossing, f, v)
+                    for f in fields for v in (VARIANT_A, VARIANT_B)]
+        monkeypatch.setattr(integration, "_LevelEvaluator", RandomSplits)
+        for _ in range(3):
+            got = [distribution_function(crossing, f, v)
+                   for f in fields for v in (VARIANT_A, VARIANT_B)]
+            for F, G in zip(got, expected):
+                _same_distribution(F, G)
