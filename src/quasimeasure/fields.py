@@ -15,7 +15,7 @@ from scipy import ndimage
 
 from .errors import DomainError, FrameError, FrameMismatchError, GeometryError
 from .grid import Frame, edge_cells
-from .regions import COMPACT, Region, dilate
+from .regions import COMPACT, Region, _bbox, _grow, dilate
 
 # Tolerance for the phi(0) = 0 contract of piecewise-linear maps.
 _PLM_ZERO_TOL = 1e-12
@@ -193,8 +193,24 @@ def build_plateau(inner: Region | None, outer: Region, height: float,
 
 
 def distance_map(outer: Region) -> np.ndarray:
-    """Distance from each cell center to the nearest center outside `outer`."""
-    return ndimage.distance_transform_edt(outer.mask, sampling=(outer.frame.dy, outer.frame.dx))
+    """Distance from each cell center to the nearest center outside `outer`.
+
+    The transform runs on the bounding box of `outer` grown by one ring and
+    clamped to the frame, which gives the full-frame answer bit for bit.
+    Every cell outside the box is empty. Clamping such a cell onto the
+    padded box only shrinks its row and column offsets from any cell of the
+    box, and the clamped cell is still outside the box, so empty: the
+    nearest empty cell always lies in the padded box. Where the clamp meets
+    the frame edge, the crop's edge is the frame's edge.
+    """
+    frame = outer.frame
+    dist = np.zeros(frame.shape)
+    box = _bbox(outer.mask)
+    if box is not None:
+        box = _grow(box, 1, frame.shape)
+        dist[box] = ndimage.distance_transform_edt(outer.mask[box],
+                                                   sampling=(frame.dy, frame.dx))
+    return dist
 
 
 def unit_ramp(dist: np.ndarray, ramp_width: float) -> np.ndarray:

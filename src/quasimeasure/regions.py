@@ -158,6 +158,13 @@ def _shift(box: tuple[slice, slice], r0: int, c0: int) -> tuple[slice, slice]:
     return slice(rows.start + r0, rows.stop + r0), slice(cols.start + c0, cols.stop + c0)
 
 
+def _grow(box: tuple[slice, slice], k: int, shape: tuple[int, int]) -> tuple[slice, slice]:
+    """`box` grown by k cells on every side, clamped to an array of `shape`."""
+    rows, cols = box
+    return (slice(max(rows.start - k, 0), min(rows.stop + k, shape[0])),
+            slice(max(cols.start - k, 0), min(cols.stop + k, shape[1])))
+
+
 _Part = tuple[tuple[slice, slice], np.ndarray]  # (box, the set's cells inside the box)
 
 
@@ -261,29 +268,41 @@ def solid_hull(r: Region) -> Region:
 
 
 def erode(r: Region, k: int) -> Region:
-    """Chebyshev erosion by k cells."""
+    """Chebyshev erosion by k cells.
+
+    Erodes the bounding box of the set only: every cell outside it is empty,
+    so `border_value=0` on the box gives the full-frame erosion.
+    """
     if k < 0:
         raise ValueError("erosion radius must be >= 0")
-    if k == 0 or r.is_empty:
+    box = _bbox(r.mask) if k else None
+    if box is None:
         return r
-    mask = ndimage.binary_erosion(r.mask, structure=EIGHT_CONN, iterations=k,
-                                  border_value=0)
-    return Region(r.frame, mask, r.role)
+    sub = ndimage.binary_erosion(r.mask[box], structure=EIGHT_CONN, iterations=k,
+                                 border_value=0)
+    return _embed(r, box, sub, r.role)
 
 
 def dilate(r: Region, k: int) -> Region:
-    """Chebyshev dilation by k cells; FrameError if the result would exit the frame."""
+    """Chebyshev dilation by k cells; FrameError if the result would exit the frame.
+
+    Dilates the set's bounding box grown by k cells only: every cell within
+    Chebyshev distance k of the set lies in it, and the frame-exit check
+    keeps it inside the frame.
+    """
     if k < 0:
         raise ValueError("dilation radius must be >= 0")
-    if k == 0 or r.is_empty:
+    box = _bbox(r.mask) if k else None
+    if box is None:
         return r
     ny, nx = r.frame.shape
-    rows, cols = np.nonzero(r.mask)
-    if rows.min() < k or cols.min() < k or rows.max() >= ny - k or cols.max() >= nx - k:
+    rows, cols = box
+    if rows.start < k or cols.start < k or rows.stop > ny - k or cols.stop > nx - k:
         raise FrameError(f"dilation by {k} cells exits the frame")
-    mask = ndimage.binary_dilation(r.mask, structure=EIGHT_CONN, iterations=k,
-                                   border_value=0)
-    return Region(r.frame, mask, r.role)
+    box = _grow(box, k, r.frame.shape)
+    sub = ndimage.binary_dilation(r.mask[box], structure=EIGHT_CONN, iterations=k,
+                                  border_value=0)
+    return _embed(r, box, sub, r.role)
 
 
 # -- marked points ------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from quasimeasure import (
     DomainError,
@@ -22,6 +23,7 @@ from quasimeasure import (
     truncate,
     zero_field,
 )
+from quasimeasure.fields import distance_map
 from quasimeasure.presets import OUTER_U, RECT_K
 
 
@@ -110,6 +112,25 @@ class TestBuildPlateau:
         f = build_plateau(regions64["K"], regions64["U"], -2.0, 0.25)
         assert sup_norm(f) == 2.0
         assert np.all(f.values <= 0.0)
+
+
+def full_frame_distance_map(outer):
+    # the transform over the whole frame, kept verbatim as the oracle
+    return ndimage.distance_transform_edt(outer.mask, sampling=(outer.frame.dy, outer.frame.dx))
+
+
+class TestDistanceMap:
+    def test_box_crop_equals_the_full_frame(self, gate_masks):
+        for r in gate_masks:
+            assert np.array_equal(distance_map(r), full_frame_distance_map(r))
+
+    def test_gate_covers_its_cases(self, gate_masks):
+        shapes = {r.frame.shape for r in gate_masks}
+        assert shapes == {(64, 64), (64, 96), (48, 80)}
+        assert any(r.frame.dx != r.frame.dy for r in gate_masks)
+        assert sum(r.is_empty for r in gate_masks) == 3
+        assert any(r.mask[1].any() or r.mask[:, 1].any() for r in gate_masks if r.role == "open")
+        assert sum(r.role == "compact" for r in gate_masks) >= 30
 
 
 class TestAlgebra:

@@ -181,6 +181,30 @@ def _noise(n, seed, low=0.0):
     return ScalarField(frame, vals)
 
 
+def _seeded_suite(n, variant):
+    rng = np.random.default_rng([n, ord(variant)])
+    frame = standard_frame(n)
+    signed = _noise(n, int(rng.integers(2**32)), low=-1.0)
+    cone = _cone(n, *rng.uniform(3.5, 6.5, size=2), rng.uniform(1.0, 3.0))
+    fields = [signed, add(cone, scale(_noise(n, int(rng.integers(2**32))), -0.5)),
+              _ring(n, *rng.uniform(4.0, 6.0, size=2), 0.8, 2.4, 0.3)]
+    measures = [
+        DensityMeasure(float(rng.uniform(0.1, 2.0))),
+        DensityMeasure(rng.uniform(0.0, 2.0, size=frame.shape)),
+        # some atoms fall outside the frame
+        AtomicMeasure(rng.uniform(-1.0, 11.0, size=(40, 2)), rng.uniform(0.1, 2.0, size=40)),
+        # per-cell weights that are all equal: summed one level at a time
+        DensityMeasure(np.full(frame.shape, float(rng.uniform(0.1, 2.0)))),
+    ]
+    return frame, fields, measures, rng
+
+
+def _assert_matches_oracle(mu, fields, variant):
+    for f in fields:
+        bound = 1e-12 * linear_oracle(mu, ScalarField(f.frame, np.abs(f.values)))
+        assert abs(quasi_integral(mu, f, variant).value - linear_oracle(mu, f)) <= bound
+
+
 class TestAdditiveExactness:
     """Density and atomic measures integrate exactly, however many levels f has."""
 
@@ -200,24 +224,21 @@ class TestAdditiveExactness:
     @pytest.mark.parametrize("variant", ["A", "B"])
     @pytest.mark.parametrize("n", [64, 128, 512])
     def test_seeded_suite_matches_oracle(self, n, variant):
-        rng = np.random.default_rng([n, ord(variant)])
-        frame = standard_frame(n)
-        signed = _noise(n, int(rng.integers(2**32)), low=-1.0)
-        cone = _cone(n, *rng.uniform(3.5, 6.5, size=2), rng.uniform(1.0, 3.0))
-        fields = [signed, add(cone, scale(_noise(n, int(rng.integers(2**32))), -0.5)),
-                  _ring(n, *rng.uniform(4.0, 6.0, size=2), 0.8, 2.4, 0.3)]
-        measures = [
-            DensityMeasure(float(rng.uniform(0.1, 2.0))),
-            DensityMeasure(rng.uniform(0.0, 2.0, size=frame.shape)),
-            # some atoms fall outside the frame
-            AtomicMeasure(rng.uniform(-1.0, 11.0, size=(40, 2)), rng.uniform(0.1, 2.0, size=40)),
-            # per-cell weights that are all equal: summed one level at a time
-            DensityMeasure(np.full(frame.shape, float(rng.uniform(0.1, 2.0)))),
-        ]
+        _, fields, measures, _ = _seeded_suite(n, variant)
         for mu in measures:
-            for f in fields:
-                bound = 1e-12 * linear_oracle(mu, ScalarField(frame, np.abs(f.values)))
-                assert abs(quasi_integral(mu, f, variant).value - linear_oracle(mu, f)) <= bound
+            _assert_matches_oracle(mu, fields, variant)
+
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    @pytest.mark.parametrize("n", [64, 128, pytest.param(512, marks=pytest.mark.xfail(
+        strict=True, reason="the float cumulative sum of many equal weights drifts: off by "
+                            "1.4e-12 (A) and 1.7e-12 (B) times sum |f| w, above the 1e-12 bound"))])
+    def test_two_valued_density_matches_oracle(self, n, variant):
+        # the suite's next row: per-cell weights of two values, so many equal
+        # weights but not all
+        frame, fields, _, rng = _seeded_suite(n, variant)
+        d = float(rng.uniform(0.1, 2.0))
+        mu = DensityMeasure(np.where(rng.random(frame.shape) < 0.5, d, 2 * d))
+        _assert_matches_oracle(mu, fields, variant)
 
     def test_atom_outside_the_frame(self, frame64):
         p = build_plateau(None, rect_region(frame64, 2.2, 4.2, 6.2, 8.4, role="open"),

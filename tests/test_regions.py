@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from quasimeasure import (
     FrameError,
@@ -16,6 +17,7 @@ from quasimeasure import (
     solid_decomposition,
     solid_hull,
 )
+from quasimeasure.regions import EIGHT_CONN
 
 
 def annulus(frame):
@@ -118,7 +120,56 @@ class TestTopology:
                 assert hole.disjoint_from(comp)
 
 
+def full_frame_erode(r, k):
+    # the erosion over the whole frame, kept verbatim as the oracle
+    if k == 0 or r.is_empty:
+        return r
+    mask = ndimage.binary_erosion(r.mask, structure=EIGHT_CONN, iterations=k,
+                                  border_value=0)
+    return Region(r.frame, mask, r.role)
+
+
+def full_frame_dilate(r, k):
+    # the dilation over the whole frame, kept verbatim as the oracle
+    if k == 0 or r.is_empty:
+        return r
+    ny, nx = r.frame.shape
+    rows, cols = np.nonzero(r.mask)
+    if rows.min() < k or cols.min() < k or rows.max() >= ny - k or cols.max() >= nx - k:
+        raise FrameError(f"dilation by {k} cells exits the frame")
+    mask = ndimage.binary_dilation(r.mask, structure=EIGHT_CONN, iterations=k,
+                                   border_value=0)
+    return Region(r.frame, mask, r.role)
+
+
+def _outcome(op, r, k):
+    try:
+        return op(r, k)
+    except FrameError:
+        return FrameError
+
+
 class TestMorphology:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_box_crop_equals_the_full_frame(self, gate_masks, k):
+        exits = 0
+        for r in gate_masks:
+            assert erode(r, k) == full_frame_erode(r, k)
+            want = _outcome(full_frame_dilate, r, k)
+            assert _outcome(dilate, r, k) == want
+            exits += want is FrameError
+        # the frame-exit check is exercised, and not on every mask
+        assert 0 < exits < len(gate_masks)
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_erosion_empties_a_strip_at_the_same_radius(self, frame64, width):
+        mask = np.zeros(frame64.shape, dtype=bool)
+        mask[20:20 + width, 5:50] = True
+        r = Region(frame64, mask)
+        first = [k for k in range(1, 9) if erode(r, k).is_empty][0]
+        assert first == [k for k in range(1, 9) if full_frame_erode(r, k).is_empty][0]
+        assert first == (width + 1) // 2
+
     def test_zero_radius_is_identity(self, frame64):
         r = frame_interior(frame64)
         assert erode(r, 0) == r
