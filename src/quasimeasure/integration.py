@@ -259,7 +259,11 @@ def _layer_cake(mu: TopologicalMeasure, f: ScalarField, variant: str,
         levels, mass = np.unique(values, return_counts=True)
         unit = weights
     else:
-        # searchsorted gives np.unique's inverse in less time and memory
+        # searchsorted gives np.unique's inverse. At 512² it is the faster of
+        # the two on a coherent field of few levels (5 against 16 ms for
+        # min(x, y), 512 levels) and the slower on a field of distinct values
+        # (63 against 25 ms). The benchmark's median fields, pyramids and
+        # crossed plateaus, are coherent.
         levels = np.unique(values)
         mass = np.bincount(np.searchsorted(levels, values), weights=weights)
         unit = 1.0

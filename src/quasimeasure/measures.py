@@ -22,7 +22,7 @@ import numpy as np
 
 from .fields import ScalarField
 from .grid import Frame
-from .regions import Region, _components_in_boxes, _holes, point_cells
+from .regions import Region, _bbox, _components_in_boxes, _holes, point_cells
 
 POINT_COUNT = "point_count"
 DENSITY = "density"
@@ -132,21 +132,56 @@ class PointCountMeasure(_MarkedPoints, TopologicalMeasure):
         """Mass of `mask` with the marked points at (rows, cols) in its coordinates.
 
         Each component and each hole is worked on inside its own box; points
-        outside a box are dropped from it.
+        outside a box are dropped from it. With lam(c) = value_by_count[c], a
+        set whose box holds no point has mass 0, since lam(0) == 0, and three
+        shortcuts skip labellings whose result cannot change the sum:
+
+        * no point in the mask's box: the mass is 0.0 and nothing is
+          labelled.
+        * every point in a component's box lies on the component, or there
+          is none: its holes hold no point and each subtracts exactly 0.0, so
+          the component adds the value of its point count (lam(0) = +-0.0
+          when its box is empty of points) with its holes unlabelled.
+        * one point in the mask's box, and the mask covers it: the component
+          holding it adds lam(1). Any other component either misses the
+          point's hull, or holds the point in a hole whose mass is lam(1) and
+          cancels exactly. So the mass is 0.0 + lam(1), with nothing labelled.
+
+        The sum starts at 0.0 and every skipped term is +-0.0, so a -0.0 table
+        entry comes out as 0.0, as it does when every term is added.
         """
         if depth < 0:
             raise RecursionError("hole nesting exceeds grid depth; mask is corrupt")
+        box = _bbox(mask)
+        if box is None:
+            return 0.0
+        inside = _in_box(box, rows, cols)
+        if not inside.any():
+            return 0.0
+        rows, cols = rows[inside], cols[inside]
+        if len(rows) == 1 and mask[rows[0], cols[0]]:
+            return 0.0 + self._lam(1)
         total = 0.0
-        for (rs, cs), comp in _components_in_boxes(mask):
-            inside = (rows >= rs.start) & (rows < rs.stop) & (cols >= cs.start) & (cols < cs.stop)
+        for (rs, cs), comp in _components_in_boxes(mask, box):
+            inside = _in_box((rs, cs), rows, cols)
+            r, c = rows[inside] - rs.start, cols[inside] - cs.start
+            if comp[r, c].all():  # no point off the component, or none at all
+                total += self._lam(len(r))
+                continue
             # hole labels are padded by one ring; label 1 is outside the hull
-            r, c = rows[inside] - (rs.start - 1), cols[inside] - (cs.start - 1)
             labels, hole_parts = _holes(comp)
+            r, c = r + 1, c + 1
             val = self._lam(int((labels[r, c] != 1).sum()))
             for (hr, hc), hole in hole_parts:
                 val -= self._mass_of_mask(hole, r - hr.start, c - hc.start, depth - 1)
             total += val
         return total
+
+
+def _in_box(box, rows, cols) -> np.ndarray:
+    """Which of the cells (rows, cols) lie in `box`."""
+    rs, cs = box
+    return (rows >= rs.start) & (rows < rs.stop) & (cols >= cs.start) & (cols < cs.stop)
 
 
 @dataclass(frozen=True, eq=False)

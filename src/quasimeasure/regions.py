@@ -168,14 +168,17 @@ def _grow(box: tuple[slice, slice], k: int, shape: tuple[int, int]) -> tuple[sli
 _Part = tuple[tuple[slice, slice], np.ndarray]  # (box, the set's cells inside the box)
 
 
-def _components_in_boxes(mask: np.ndarray) -> list[_Part]:
+def _components_in_boxes(mask: np.ndarray,
+                         box: tuple[slice, slice] | None = None) -> list[_Part]:
     """Each 4-connected component of `mask`, boxed in `mask`'s coordinates.
 
-    The mask is labelled once, cropped to its bounding box. Raster order inside
-    the box is raster order in the mask, so components come in label order.
-    A lone component's cells are a view of `mask`.
+    The mask is labelled once, cropped to its bounding box, which a caller
+    that has already found it passes as `box`. Raster order inside the box is
+    raster order in the mask, so components come in label order. A lone
+    component's cells are a view of `mask`.
     """
-    box = _bbox(mask)
+    if box is None:
+        box = _bbox(mask)
     if box is None:
         return []
     sub = mask[box]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from test_topology_kernel import _cropped_mass_of_mask, count_label_calls
 
 from quasimeasure import (
     AtomicMeasure,
@@ -9,6 +10,7 @@ from quasimeasure import (
     DistributionFn,
     DomainError,
     InfiniteMeasureError,
+    PointCountMeasure,
     ScalarField,
     VariantError,
     add,
@@ -527,3 +529,31 @@ class TestAnchoredBisection:
                    for f in fields for v in (VARIANT_A, VARIANT_B)]
             for F, G in zip(got, expected):
                 _same_distribution(F, G)
+
+
+@pytest.mark.parametrize("kind,n", [("golden", 512), ("sums", 128)])
+def test_mass_shortcuts_label_less(crossing, monkeypatch, kind, n):
+    """The mass kernel skips labellings no marked point can affect: the same
+    F, by `repr`, from the same probes as the kernel that labels every
+    component and hole, with no more `label` calls on any integral."""
+    calls = count_label_calls(monkeypatch)
+
+    def integrate(f, variant):
+        calls[0] = 0
+        return quasi_integral(crossing, f, variant), calls[0]
+
+    total = oracle_total = 0
+    for f in _gate_fields(kind, n):
+        for variant in (VARIANT_A, VARIANT_B):
+            res, got = integrate(f, variant)
+            with monkeypatch.context() as m:
+                m.setattr(PointCountMeasure, "_mass_of_mask", _cropped_mass_of_mask)
+                want, want_calls = integrate(f, variant)
+            _same_distribution(res.distribution, want.distribution)
+            assert repr((res.value, res.distribution.left_limit)) == \
+                repr((want.value, want.distribution.left_limit))
+            assert res.diagnostics == want.diagnostics
+            assert got <= want_calls
+            total += got
+            oracle_total += want_calls
+    assert total < oracle_total

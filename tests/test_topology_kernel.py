@@ -4,7 +4,13 @@
 for every component and every hole. The kernel works inside each set's
 bounding box instead; it must give the same regions and the same masses bit
 for bit, so every comparison here is `==`.
+
+`_cropped_mass_of_mask` is the cropped mass kernel as it was before it
+skipped the labellings no marked point can affect. The kernel must give the
+same masses by `repr`, so a `-0.0` mass would show.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +25,15 @@ from quasimeasure import (
     solid_decomposition,
     solid_hull,
 )
-from quasimeasure.regions import COMPACT, EIGHT_CONN, FOUR_CONN, OPEN, point_cells
+from quasimeasure.regions import (
+    COMPACT,
+    EIGHT_CONN,
+    FOUR_CONN,
+    OPEN,
+    _components_in_boxes,
+    _holes,
+    point_cells,
+)
 
 # -- the full-frame reference --------------------------------------------
 
@@ -92,6 +106,82 @@ def ref_mass(mu, region):
     inside = cells[:, 0] >= 0
     rows, cols = cells[inside, 0], cells[inside, 1]
     return _ref_mass_of_mask(mu, region.mask, rows, cols, max(region.frame.nx, region.frame.ny))
+
+
+# -- the cropped kernel before the shortcuts, verbatim ----------------------
+
+
+def _cropped_mass_of_mask(mu, mask, rows, cols, depth):
+    """Mass of `mask` with the marked points at (rows, cols) in its coordinates.
+
+    Each component and each hole is worked on inside its own box; points
+    outside a box are dropped from it.
+    """
+    if depth < 0:
+        raise RecursionError("hole nesting exceeds grid depth; mask is corrupt")
+    total = 0.0
+    for (rs, cs), comp in _components_in_boxes(mask):
+        inside = (rows >= rs.start) & (rows < rs.stop) & (cols >= cs.start) & (cols < cs.stop)
+        # hole labels are padded by one ring; label 1 is outside the hull
+        r, c = rows[inside] - (rs.start - 1), cols[inside] - (cs.start - 1)
+        labels, hole_parts = _holes(comp)
+        val = mu._lam(int((labels[r, c] != 1).sum()))
+        for (hr, hc), hole in hole_parts:
+            val -= _cropped_mass_of_mask(mu, hole, r - hr.start, c - hc.start, depth - 1)
+        total += val
+    return total
+
+
+def cropped_mass(mu, region):
+    rows, cols = mu.marked_cells(region.frame)
+    return _cropped_mass_of_mask(mu, region.mask, rows, cols,
+                                 max(region.frame.nx, region.frame.ny))
+
+
+def count_label_calls(monkeypatch):
+    """Count `ndimage.label` calls for the rest of the test in a one-item list."""
+    calls = [0]
+    label = ndimage.label
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "label", counted)
+    return calls
+
+
+def _held(mask, rows, cols):
+    """Which points lie in the bounding box of a non-empty full-frame mask."""
+    r, c = np.nonzero(mask)
+    return (rows >= r.min()) & (rows <= r.max()) & (cols >= c.min()) & (cols <= c.max())
+
+
+def _shortcut_label_calls(mask, rows, cols, seen):
+    """`label` calls the kernel makes on `mask`, worked out on the full-frame
+    reference. `seen[s, True]` counts the places where shortcut s is taken and
+    `seen[s, False]` those where it is passed by."""
+    if not mask.any():
+        return 0
+    held = _held(mask, rows, cols)
+    seen["a", not held.any()] += 1
+    if not held.any():
+        return 0
+    lone = int(held.sum()) == 1 and bool(mask[rows[held], cols[held]].all())
+    seen["c", lone] += 1
+    if lone:
+        return 0
+    calls = 1
+    for comp in _ref_component_masks(mask):
+        held = _held(comp, rows, cols)
+        on = bool(comp[rows[held], cols[held]].all())  # also when its box holds none
+        seen["b", on] += 1
+        if on:
+            continue
+        calls += 1
+        for hm in _ref_hole_masks(comp):
+            calls += _shortcut_label_calls(hm, rows, cols, seen)
+    return calls
 
 
 # -- inputs ----------------------------------------------------------------
@@ -219,6 +309,68 @@ def _points_in(region, rng, m=9):
     return PointCountMeasure(pts, counts ** rng.uniform(1.0, 2.5) * rng.uniform(0.1, 1.7) / 3.0)
 
 
+def _cell_centres(frame, cells):
+    rows, cols = np.divmod(np.asarray(cells, dtype=int), frame.nx)
+    return np.column_stack([frame.x_min + (cols + 0.5) * frame.dx,
+                            frame.y_min + (rows + 0.5) * frame.dy])
+
+
+def _table(rng, n, zeros):
+    """A convex table over n points whose first `zeros` entries are -0.0: the
+    validation accepts them, and a sum that starts at 0.0 turns them into 0.0."""
+    table = np.arange(n + 1, dtype=float) ** rng.uniform(1.0, 2.5) * rng.uniform(0.1, 1.7)
+    table[:zeros] = -0.0
+    return table
+
+
+def _clustered_in_holes(region, rng, zeros):
+    """Points on the hole cells nearest one random hole cell, so most share a
+    hole, with one more on the region for half of the draws."""
+    frame = region.frame
+    hole_cells = np.flatnonzero((ref_solid_hull(region).mask & ~region.mask).ravel())
+    if len(hole_cells) == 0:
+        return _points_in(region, rng)
+    rows, cols = np.divmod(hole_cells, frame.nx)
+    r0, c0 = divmod(int(rng.choice(hole_cells)), frame.nx)
+    near = np.argsort(np.maximum(abs(rows - r0), abs(cols - c0)), kind="stable")
+    take = list(hole_cells[near[:int(rng.integers(1, 7))]])
+    if rng.random() < 0.5:
+        take.append(rng.choice(np.flatnonzero(region.mask.ravel())))
+    pts = _cell_centres(frame, take)
+    return PointCountMeasure(pts, _table(rng, len(pts), zeros))
+
+
+def _ring_cases():
+    """A square ring with one-cell islands in its hole, and a U whose open
+    mouth holds a block: the points sit on an island, on the ring, in the
+    hole off the islands, on the block and on the U."""
+    ring = np.zeros(FRAME.shape, dtype=bool)
+    ring[30:50, 30:50] = True
+    ring[33:47, 33:47] = False
+    ring[40, 40] = True  # an island
+    two = ring.copy()
+    two[36, 44] = True  # a second island
+    u = np.zeros(FRAME.shape, dtype=bool)
+    u[60:80, 10:30] = True
+    u[60:75, 15:25] = False
+    u[62:66, 18:22] = True  # a block in the U's mouth: inside the U's box, off its hull
+    island, on_ring, in_hole, other_island = 40 * N + 40, 31 * N + 31, 35 * N + 35, 36 * N + 44
+    block, on_u = 63 * N + 19, 78 * N + 12
+    cases = [
+        (ring, [island]), (ring, [island, on_ring]), (ring, [in_hole]),
+        (ring, [island, in_hole]), (ring, [on_ring]), (ring, [in_hole, on_ring]),
+        (two, [island]), (two, [island, other_island]), (two, [other_island, in_hole]),
+        (u, [block]), (u, [block, on_u]), (u, [on_u]), (ring | u, [island, block]),
+    ]
+    out = []
+    for mask, cells in cases:
+        pts = _cell_centres(FRAME, cells)
+        for zeros in (1, 2, len(cells) + 1):
+            table = _table(np.random.default_rng(len(out)), len(pts), zeros)
+            out.append((Region(FRAME, mask, OPEN), PointCountMeasure(pts, table)))
+    return out
+
+
 # -- tests -----------------------------------------------------------------
 
 
@@ -234,7 +386,30 @@ def test_mass_matches_the_full_frame_reference_bit_for_bit():
     rng = np.random.default_rng(5)
     for i, region in enumerate(REGIONS):
         mu = _points_in(region, rng) if i % 4 else _measure(rng, region.frame)
-        assert mu.mass(region) == ref_mass(mu, region)
+        got = mu.mass(region)
+        assert got == ref_mass(mu, region)
+        assert repr(got) == repr(cropped_mass(mu, region))
+
+
+def test_shortcuts_equal_the_cropped_kernel(monkeypatch):
+    """Points clustered in holes, one-point islands in a ring's hole, a U
+    whose box holds another component's point, and tables with leading -0.0
+    entries: the masses are those of the kernel that labels every component
+    and hole, and each of the three shortcuts both fires and falls through."""
+    rng = np.random.default_rng(23)
+    cases = [(region, _clustered_in_holes(region, rng, zeros=i % 3))
+             for i, region in enumerate(REGIONS)] + _ring_cases()
+    calls = count_label_calls(monkeypatch)
+    seen = Counter()
+    for region, mu in cases:
+        rows, cols = mu.marked_cells(region.frame)
+        want = _shortcut_label_calls(region.mask, rows, cols, seen)
+        calls[0] = 0
+        got = mu.mass(region)
+        assert calls[0] == want
+        assert repr(got) == repr(cropped_mass(mu, region)) == repr(ref_mass(mu, region))
+    for shortcut in "abc":
+        assert seen[shortcut, True] > 0 and seen[shortcut, False] > 0
 
 
 @pytest.mark.parametrize("n", [64, 100, 333])
