@@ -7,6 +7,7 @@ within tie epsilon of a cell boundary or sampled value.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field as dc_field
@@ -89,6 +90,15 @@ def _timed(fn):
 # (b) only ever sums plateaus with well-separated supports.
 
 
+@functools.lru_cache(maxsize=64)
+def _lattice_ticks(lo: float, hi: float, lattice: float) -> np.ndarray:
+    """The lattice points in [lo, hi], read-only: a window's draws share them."""
+    ticks = np.arange(np.ceil(lo / lattice), np.floor(hi / lattice) + 1) * lattice
+    ticks = ticks[(ticks >= lo) & (ticks <= hi)]
+    ticks.setflags(write=False)
+    return ticks
+
+
 def _lattice_rect(rng: np.random.Generator, frame: Frame, window=None,
                   min_size: float = 1.2, lattice: float = 0.5):
     """Rectangle with corners on the lattice, strictly inside the window."""
@@ -98,8 +108,7 @@ def _lattice_rect(rng: np.random.Generator, frame: Frame, window=None,
     x_lo, x_hi, y_lo, y_hi = window
 
     def _span(lo, hi):
-        ticks = np.arange(np.ceil(lo / lattice), np.floor(hi / lattice) + 1) * lattice
-        ticks = ticks[(ticks >= lo) & (ticks <= hi)]
+        ticks = _lattice_ticks(lo, hi, lattice)
         while True:
             a, b = rng.choice(ticks, size=2, replace=False)
             if abs(b - a) >= min_size:

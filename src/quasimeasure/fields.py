@@ -156,7 +156,10 @@ def build_plateau(inner: Region | None, outer: Region, height: float,
     distance ramp in between.
 
     f(x) = height * min(1, dist(x, complement of outer) / ramp_width), with
-    distances taken between cell centers. The inner region only constrains
+    distances taken between cell centers. The ramp is built on the padded
+    bounding box of `outer` (see `distance_map`); every cell off it holds
+    height * 0.0, so a negative height leaves -0.0 off the support, as the
+    formula does over the whole frame. The inner region only constrains
     feasibility: it must sit at distance >= ramp_width from the complement
     so the plateau is exactly flat there. `inner=None` (or empty) is allowed
     and produces a pure ramp bump.
@@ -183,20 +186,23 @@ def build_plateau(inner: Region | None, outer: Region, height: float,
         if not inner.subset_of(outer):
             raise GeometryError("inner region is not contained in outer region")
 
-    dist = distance_map(outer)
+    box, dist = distance_map(outer)
     if inner is not None and not inner.is_empty:
-        if float(dist[inner.mask].min()) < ramp_width:
+        # inner lies inside outer, so inside the box
+        if float(dist[inner.mask[box]].min()) < ramp_width:
             raise GeometryError(
                 "inner region is closer than ramp_width to the boundary of outer"
             )
-    return ScalarField(frame, height * unit_ramp(dist, ramp_width))
+    return ramp_field(frame, box, dist, height, ramp_width)
 
 
-def distance_map(outer: Region) -> np.ndarray:
-    """Distance from each cell center to the nearest center outside `outer`.
+def distance_map(outer: Region) -> tuple[tuple[slice, slice], np.ndarray]:
+    """(box, dist): the distance from each cell center of `box` to the
+    nearest center outside `outer`, where `box` is the bounding box of
+    `outer` grown by one ring and clamped to the frame. Every cell off the
+    box is at distance 0; an empty `outer` gives an empty box.
 
-    The transform runs on the bounding box of `outer` grown by one ring and
-    clamped to the frame, which gives the full-frame answer bit for bit.
+    The transform on the padded box is the full-frame one bit for bit.
     Every cell outside the box is empty. Clamping such a cell onto the
     padded box only shrinks its row and column offsets from any cell of the
     box, and the clamped cell is still outside the box, so empty: the
@@ -204,18 +210,22 @@ def distance_map(outer: Region) -> np.ndarray:
     the frame edge, the crop's edge is the frame's edge.
     """
     frame = outer.frame
-    dist = np.zeros(frame.shape)
     box = _bbox(outer.mask)
-    if box is not None:
-        box = _grow(box, 1, frame.shape)
-        dist[box] = ndimage.distance_transform_edt(outer.mask[box],
-                                                   sampling=(frame.dy, frame.dx))
-    return dist
+    if box is None:
+        return (slice(0, 0), slice(0, 0)), np.zeros((0, 0))
+    box = _grow(box, 1, frame.shape)
+    return box, ndimage.distance_transform_edt(outer.mask[box], sampling=(frame.dy, frame.dx))
 
 
-def unit_ramp(dist: np.ndarray, ramp_width: float) -> np.ndarray:
-    """min(1, dist / ramp_width): the plateau of height one over a distance map."""
-    return np.minimum(1.0, dist / ramp_width)
+def ramp_field(frame: Frame, box: tuple[slice, slice], dist: np.ndarray,
+               height: float, ramp_width: float) -> ScalarField:
+    """The field height * min(1, dist / ramp_width) of a `distance_map`
+    (box, dist), computed on the box alone. Off the box the distance is 0,
+    so the frame is filled with height * 0.0: -0.0 for a negative height,
+    as the formula gives over the whole frame."""
+    values = np.full(frame.shape, height * 0.0)
+    values[box] = height * np.minimum(1.0, dist / ramp_width)
+    return ScalarField(frame, values)
 
 
 # -- pointwise algebra ----------------------------------------------------

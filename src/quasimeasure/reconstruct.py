@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FrameError, GeometryError
-from .fields import ScalarField, distance_map, unit_ramp
+from .fields import distance_map, ramp_field
 from .integration import QuasiIntegral
 from .measures import POINT_COUNT, TopologicalMeasure, tm_eval
 from .regions import COMPACT, OPEN, Region, dilate
@@ -95,15 +95,15 @@ def _schedule(rho: QuasiIntegral, target: Region, schedule: BumpSchedule | None,
         return ReconstructionReport((), 0.0, True, True)
     frame = target.frame
     is_open = target.role == OPEN
-    dist = distance_map(target) if is_open else None
+    box, dist = distance_map(target) if is_open else (None, None)
     trace = []
     for k in range(schedule.max_steps, 0, -1):
         if not is_open:
             try:
-                dist = distance_map(dilate(target, k).with_role(OPEN))
+                box, dist = distance_map(dilate(target, k).with_role(OPEN))
             except FrameError:
                 continue
-        trace.append((k, rho(ScalarField(frame, unit_ramp(dist, k * frame.min_cell)))))
+        trace.append((k, rho(ramp_field(frame, box, dist, 1.0, k * frame.min_cell))))
     if not trace:
         raise FrameError("every dilation in the schedule exits the frame")
     values = [v for _, v in trace]

@@ -13,6 +13,7 @@ from quasimeasure import (
     add,
     build_plateau,
     compose,
+    erode,
     neg_part,
     pos_part,
     rect_region,
@@ -112,6 +113,9 @@ class TestBuildPlateau:
         f = build_plateau(regions64["K"], regions64["U"], -2.0, 0.25)
         assert sup_norm(f) == 2.0
         assert np.all(f.values <= 0.0)
+        # height * 0.0 off the support: -0.0, as the full-frame formula gives
+        off = ~regions64["U"].mask
+        assert np.all(f.values[off] == 0.0) and np.all(np.signbit(f.values[off]))
 
 
 def full_frame_distance_map(outer):
@@ -119,10 +123,54 @@ def full_frame_distance_map(outer):
     return ndimage.distance_transform_edt(outer.mask, sampling=(outer.frame.dy, outer.frame.dx))
 
 
+def _plateau_outcome(build, inner, outer, height, ramp_width):
+    try:
+        return build(inner, outer, height, ramp_width).values
+    except GeometryError:
+        return GeometryError
+
+
+def full_frame_build_plateau(inner, outer, height, ramp_width):
+    # the full-frame body that the box-built plateau replaced, kept verbatim
+    # (argument checks before the distance map omitted) as the oracle
+    frame = outer.frame
+    dist = full_frame_distance_map(outer)
+    if inner is not None and not inner.is_empty:
+        if float(dist[inner.mask].min()) < ramp_width:
+            raise GeometryError(
+                "inner region is closer than ramp_width to the boundary of outer"
+            )
+    return ScalarField(frame, height * np.minimum(1.0, dist / ramp_width))
+
+
 class TestDistanceMap:
     def test_box_crop_equals_the_full_frame(self, gate_masks):
         for r in gate_masks:
-            assert np.array_equal(distance_map(r), full_frame_distance_map(r))
+            box, dist = distance_map(r)
+            embedded = np.zeros(r.frame.shape)
+            embedded[box] = dist
+            assert np.array_equal(embedded, full_frame_distance_map(r))
+
+    def test_box_built_plateau_equals_the_full_frame(self, gate_masks):
+        # every value and the sign of every zero: a negative height leaves
+        # -0.0 off the support, which the CSV artifacts print
+        outcomes = []
+        for r in gate_masks:
+            if r.is_empty or r.role != "open":
+                continue
+            for inner in (None, erode(r, 2)):
+                for height in (1.0, -2.5, 0.5):
+                    for width in (1.5 * r.frame.min_cell, 4.0 * r.frame.min_cell, 0.3):
+                        got = _plateau_outcome(build_plateau, inner, r, height, width)
+                        want = _plateau_outcome(full_frame_build_plateau, inner, r, height, width)
+                        if isinstance(got, type):
+                            assert got is want
+                        else:
+                            assert np.array_equal(got, want)
+                            assert np.array_equal(np.signbit(got), np.signbit(want))
+                        outcomes.append(got)
+        assert any(got is GeometryError for got in outcomes)
+        assert any(not isinstance(got, type) and np.signbit(got).any() for got in outcomes)
 
     def test_gate_covers_its_cases(self, gate_masks):
         shapes = {r.frame.shape for r in gate_masks}

@@ -2,6 +2,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from quasimeasure import (
     AtomicMeasure,
@@ -14,6 +15,7 @@ from quasimeasure import (
     QuasiIntegral,
     QuasimeasureError,
     Region,
+    ScalarField,
     build_plateau,
     dilate,
     empty_region,
@@ -332,3 +334,101 @@ def test_schedule_equals_per_radius_plateaus(frame_name, measure_kind):
     assert any(got is FrameError for _, _, got in outcomes)
     assert any(role == COMPACT and got is not FrameError and len(got[0]) < steps
                for role, steps, got in outcomes)
+
+
+# -- box-built ramps against the full-frame schedule they replaced ----------
+#
+# `_full_frame_schedule` is the schedule loop as it was before the ramps
+# were built on the support's box: a full-frame distance map and a
+# full-frame unit ramp at every radius. Traces, flags and errors must match
+# by repr, so every float is compared bit for bit.
+
+
+def _full_frame_distance_map(outer):
+    frame = outer.frame
+    return ndimage.distance_transform_edt(outer.mask, sampling=(frame.dy, frame.dx))
+
+
+def _full_frame_schedule(rho, target, schedule=None, rt_tol=None):
+    schedule = schedule or BumpSchedule()
+    rt_tol = _default_rt_tol(rho.mu) if rt_tol is None else rt_tol
+    if target.is_empty:
+        return (), 0.0, True, True
+    frame = target.frame
+    is_open = target.role == OPEN
+    dist = _full_frame_distance_map(target) if is_open else None
+    trace = []
+    for k in range(schedule.max_steps, 0, -1):
+        if not is_open:
+            try:
+                dist = _full_frame_distance_map(dilate(target, k).with_role(OPEN))
+            except FrameError:
+                continue
+        ramp = np.minimum(1.0, dist / (k * frame.min_cell))
+        trace.append((k, rho(ScalarField(frame, ramp))))
+    if not trace:
+        raise FrameError("every dilation in the schedule exits the frame")
+    values = [v for _, v in trace]
+    steps = list(zip(values[:-1], values[1:]))
+    if is_open:
+        estimate, monotone = max(values), all(b >= a - rt_tol for a, b in steps)
+    else:
+        estimate, monotone = min(values), all(b <= a + rt_tol for a, b in steps)
+    return (tuple(trace), estimate, monotone,
+            len(values) >= 2 and abs(values[-1] - values[-2]) <= rt_tol)
+
+
+def _full_frame_outcome(rho, region):
+    try:
+        return _full_frame_schedule(rho, region)
+    except QuasimeasureError as exc:
+        return type(exc)
+
+
+def _box_outcome(rho, region):
+    return _outcome(mu_rho_open if region.role == OPEN else mu_rho_compact,
+                    rho, region, None, None)
+
+
+def _edge_gap_targets(frame):
+    """Compact squares `gap` cells inside the edge ring: a k-cell dilation
+    reaches the ring exactly when k > gap, so gap 0 skips every radius and
+    gap 1..7 skips radii 8..gap + 1."""
+    ny, nx = frame.shape
+    out = []
+    for gap in range(9):
+        mask = np.zeros(frame.shape, dtype=bool)
+        mask[1 + gap:1 + gap + ny // 4, nx // 3:nx // 3 + nx // 4] = True
+        out.append(Region(frame, mask, COMPACT))
+    return out
+
+
+def test_box_ramps_equal_the_full_frame_schedule(gate_masks, crossing):
+    # a density's rho sums every ramp value, so it sees any changed bit; the
+    # point-count measures run on a sample, since salt masks cost them ~10 ms
+    frame64 = standard_frame(64)
+    golden = QuasiIntegral(crossing)
+    cases = [(r, golden) for r in
+             list(roundtrip_catalog(frame64).values()) + _edge_gap_targets(frame64)]
+    rhos = {}
+    for i, r in enumerate(gate_masks):
+        if r.frame not in rhos:
+            rng = np.random.default_rng([r.frame.nx, r.frame.ny])
+            rhos[r.frame] = (QuasiIntegral(_measure("density", r.frame, rng)),
+                             QuasiIntegral(_measure("point_count", r.frame, rng)))
+        density, point_count = rhos[r.frame]
+        for region in (r, r.with_role(COMPACT)) if r.role == OPEN else (r,):
+            cases.append((region, density))
+            if i % 8 == 0:
+                cases.append((region, point_count))
+    outcomes = []
+    for region, rho in cases:
+        got = _box_outcome(rho, region)
+        want = _full_frame_outcome(rho, region)
+        assert repr(got) == repr(want), (region.role, region.frame.shape)
+        outcomes.append((region.role, got))
+    # every radius run, some radii skipped, and every radius skipped
+    assert any(got is FrameError for _, got in outcomes)
+    assert any(role == COMPACT and got is not FrameError and 0 < len(got[0]) < 8
+               for role, got in outcomes)
+    assert any(role == OPEN and len(got[0]) == 8 for role, got in outcomes)
