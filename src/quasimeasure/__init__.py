@@ -15,7 +15,6 @@ from .errors import (
     GeometryError,
     InfiniteMeasureError,
     QuasimeasureError,
-    SupportOverlapError,
     TieBreakError,
     VariantError,
 )
@@ -85,7 +84,7 @@ __all__ = [
     "PiecewiseLinearMap", "PointCountMeasure", "QuasiIntegral",
     "QuasiIntegralResult", "QuasimeasureError", "ReconstructionReport",
     "Region", "RoundTripEntry", "ScalarField", "Scenario",
-    "SolidDecomposition", "SupportOverlapError", "TieBreakError",
+    "SolidDecomposition", "TieBreakError",
     "TopologicalMeasure", "VariantError", "add", "build_plateau", "compose",
     "connected_components", "dilate", "distribution_function", "empty_region",
     "erode", "execute_scenario", "field_to_csv", "frame_interior", "holes",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, InfiniteMeasureError, SupportOverlapError
+from .errors import DomainError, GeometryError, InfiniteMeasureError
 from .fields import (
     PiecewiseLinearMap,
     ScalarField,
@@ -70,13 +70,14 @@ class CheckReport:
 
 
 def _timed(fn):
+    # wraps sets __wrapped__, which inspect.signature follows: scenarios read
+    # a check's defaults through it
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
         report = fn(*args, **kwargs)
         report.wall_time = time.perf_counter() - t0
         return report
-    # inspect.signature follows __wrapped__: scenarios read defaults from it
-    wrapper.__wrapped__ = fn
     return wrapper
 
 
@@ -89,29 +90,31 @@ def _timed(fn):
 # either well inside a plateau's flat top or well outside its support, and
 # (b) only ever sums plateaus with well-separated supports.
 
+_LATTICE = 0.5
+
 
 @functools.lru_cache(maxsize=64)
-def _lattice_ticks(lo: float, hi: float, lattice: float) -> np.ndarray:
+def _lattice_ticks(lo: float, hi: float) -> np.ndarray:
     """The lattice points in [lo, hi], read-only: a window's draws share them."""
-    ticks = np.arange(np.ceil(lo / lattice), np.floor(hi / lattice) + 1) * lattice
+    ticks = np.arange(np.ceil(lo / _LATTICE), np.floor(hi / _LATTICE) + 1) * _LATTICE
     ticks = ticks[(ticks >= lo) & (ticks <= hi)]
     ticks.setflags(write=False)
     return ticks
 
 
-def _lattice_rect(rng: np.random.Generator, frame: Frame, window=None,
-                  min_size: float = 1.2, lattice: float = 0.5):
-    """Rectangle with corners on the lattice, strictly inside the window."""
+def _lattice_rect(rng: np.random.Generator, frame: Frame, window=None):
+    """Rectangle with corners on the lattice and sides of at least 1.2,
+    strictly inside the window."""
     if window is None:
         window = (frame.x_min + 0.5, frame.x_max - 0.5,
                   frame.y_min + 0.5, frame.y_max - 0.5)
     x_lo, x_hi, y_lo, y_hi = window
 
     def _span(lo, hi):
-        ticks = _lattice_ticks(lo, hi, lattice)
+        ticks = _lattice_ticks(lo, hi)
         while True:
             a, b = rng.choice(ticks, size=2, replace=False)
-            if abs(b - a) >= min_size:
+            if abs(b - a) >= 1.2:
                 return min(a, b), max(a, b)
 
     x0, x1 = _span(x_lo, x_hi)
@@ -134,20 +137,15 @@ def _rect_clears_points(rect, points, ramp: float, cell: float) -> bool:
     return True
 
 
-def _measure_points(mu: TopologicalMeasure):
-    return getattr(mu, "points", None)
-
-
 def draw_plateau(rng: np.random.Generator, frame: Frame, window=None,
-                 heights=(0.5, 1.0, 2.0), ramps=(0.3, 0.45, 0.6),
                  avoid_points=None) -> ScalarField:
     cell = max(frame.dx, frame.dy)
     for _ in range(400):
         rect = _lattice_rect(rng, frame, window)
-        ramp = float(rng.choice(ramps))
+        ramp = float(rng.choice((0.3, 0.45, 0.6)))
         if _rect_clears_points(rect, avoid_points, ramp, cell):
             outer = rect_region(frame, *rect, role=OPEN)
-            height = float(rng.choice(heights))
+            height = float(rng.choice((0.5, 1.0, 2.0)))
             return build_plateau(None, outer, height, ramp)
     raise GeometryError("could not place a plateau clear of the marked points")
 
@@ -165,31 +163,31 @@ def _split_windows(rng: np.random.Generator, frame: Frame):
             (frame.x_min + pad, frame.x_max - pad, cut + gap, frame.y_max - pad))
 
 
-def draw_field(rng: np.random.Generator, frame: Frame, window=None,
-               signed: bool = False, avoid_points=None) -> ScalarField:
+def draw_field(rng: np.random.Generator, frame: Frame, signed: bool = False,
+               avoid_points=None) -> ScalarField:
     """Plateau, disjoint plateau sum, truncated plateau, or a signed
     difference of separated plateaus."""
     shape = rng.integers(0, 4 if signed else 3)
-    if shape in (1, 3) and window is None:
+    if shape in (1, 3):
         w1, w2 = _split_windows(rng, frame)
         f = draw_plateau(rng, frame, w1, avoid_points=avoid_points)
         other = draw_plateau(rng, frame, w2, avoid_points=avoid_points)
         return add(f, scale(other, 0.75 if shape == 1 else -1.0))
-    f = draw_plateau(rng, frame, window, avoid_points=avoid_points)
+    f = draw_plateau(rng, frame, avoid_points=avoid_points)
     if shape == 2:
         f = truncate(f, 0.6 * max(sup_norm(f), 0.1))
     return f
 
 
-def draw_pwl(rng: np.random.Generator, lo: float, hi: float,
-             value_lattice: float = 0.25) -> PiecewiseLinearMap:
-    """Random piecewise-linear map on [lo, hi] with phi(0) = 0."""
+def draw_pwl(rng: np.random.Generator, lo: float, hi: float) -> PiecewiseLinearMap:
+    """Random piecewise-linear map on [lo, hi] with phi(0) = 0 and values on
+    the quarter lattice."""
     n_interior = int(rng.integers(1, 4))
     grid = np.linspace(lo, hi, 17)[1:-1]
     xs = {lo, hi, 0.0} if lo < 0.0 < hi else {lo, hi}
     xs |= set(rng.choice(grid, size=n_interior, replace=False).tolist())
     xs = np.array(sorted(xs))
-    ys = rng.integers(-8, 9, size=len(xs)) * value_lattice
+    ys = rng.integers(-8, 9, size=len(xs)) * 0.25
     ys[xs == 0.0] = 0.0
     if lo == 0.0:
         ys[0] = 0.0
@@ -198,50 +196,65 @@ def draw_pwl(rng: np.random.Generator, lo: float, hi: float,
     return PiecewiseLinearMap(np.column_stack([xs, ys]))
 
 
-def _pwl_domain(f: ScalarField, pad: float = 0.25) -> tuple[float, float]:
+def _pwl_domain(f: ScalarField) -> tuple[float, float]:
     lo, hi = f.value_range
-    return min(lo, 0.0) - pad, max(hi, 0.0) + pad
+    return min(lo, 0.0) - 0.25, max(hi, 0.0) + 0.25
 
 
 # -- property suites -------------------------------------------------------
 
 
+class _Suite:
+    """Set-up shared by the randomized suites: the report, rho, the seeded
+    generator and the frame. Fields are drawn clear of the marked points."""
+
+    def __init__(self, name: str, mu: TopologicalMeasure, seed: int,
+                 frame: Frame | None):
+        self.report = CheckReport(name)
+        self.rho = QuasiIntegral(mu)
+        self.rng = np.random.default_rng(seed)
+        self.frame = frame or standard_frame()
+        self._avoid = getattr(mu, "points", None)
+
+    def trials(self, n: int):
+        """Yield the trial numbers, counting each one in the report."""
+        if n < 1:
+            raise ValueError(f"trials must be at least 1, got {n}")
+        for trial in range(n):
+            self.report.trials += 1
+            yield trial
+
+    def field(self, signed: bool = False) -> ScalarField:
+        return draw_field(self.rng, self.frame, signed=signed, avoid_points=self._avoid)
+
+    def plateau(self, window) -> ScalarField:
+        return draw_plateau(self.rng, self.frame, window, avoid_points=self._avoid)
+
+
 @_timed
 def check_sga_additivity(mu: TopologicalMeasure, f: ScalarField | None = None,
-                         phi1: PiecewiseLinearMap | None = None,
-                         phi2: PiecewiseLinearMap | None = None,
                          trials: int = 200, seed: int = 0, tol: float = 1e-6,
                          frame: Frame | None = None) -> CheckReport:
-    """rho is additive on compositions with a common inner field.
+    """rho is additive on compositions with a common inner field: f when it
+    is given, else a field drawn per trial.
 
-    Every other random trial uses an identity split phi2 = id - phi1, for
-    which the composed sum must also reproduce rho(f) itself.
+    Every other trial uses an identity split phi2 = id - phi1, for which the
+    composed sum must also reproduce rho(f) itself.
     """
-    report = CheckReport("sga_additivity")
-    rho = QuasiIntegral(mu)
-    rng = np.random.default_rng(seed)
-    frame = frame or standard_frame()
-    explicit = phi1 is not None and phi2 is not None
-    avoid = _measure_points(mu)
-    n = 1 if explicit else trials
-    for trial in range(n):
-        ft = f if f is not None else draw_field(rng, frame, signed=False,
-                                                avoid_points=avoid)
+    suite = _Suite("sga_additivity", mu, seed, frame)
+    rho, rng, report = suite.rho, suite.rng, suite.report
+    for trial in suite.trials(trials):
+        ft = f if f is not None else suite.field()
         lo, hi = _pwl_domain(ft)
-        if explicit:
-            p1, p2 = phi1, phi2
-            id_split = False
-        else:
-            p1 = draw_pwl(rng, lo, hi)
-            id_split = trial % 2 == 1
-            p2 = (PiecewiseLinearMap.identity(lo, hi) - p1) if id_split \
-                else draw_pwl(rng, lo, hi)
+        p1 = draw_pwl(rng, lo, hi)
+        id_split = trial % 2 == 1
+        p2 = (PiecewiseLinearMap.identity(lo, hi) - p1) if id_split \
+            else draw_pwl(rng, lo, hi)
         g1 = compose(p1, ft)
         g2 = compose(p2, ft)
         v1, v2 = rho(g1), rho(g2)
         v_sum = rho(add(g1, g2))
         defect = abs(v_sum - v1 - v2)
-        report.trials += 1
         if defect > tol:
             report.record(defect, {"trial": trial, "kind": "pair",
                                    "lhs": v_sum, "rhs": v1 + v2})
@@ -255,35 +268,23 @@ def check_sga_additivity(mu: TopologicalMeasure, f: ScalarField | None = None,
 
 
 @_timed
-def check_disjoint_support_additivity(mu: TopologicalMeasure,
-                                      f: ScalarField | None = None,
-                                      g: ScalarField | None = None,
-                                      trials: int = 200, seed: int = 0,
-                                      tol: float = 1e-6,
+def check_disjoint_support_additivity(mu: TopologicalMeasure, trials: int = 200,
+                                      seed: int = 0, tol: float = 1e-6,
                                       frame: Frame | None = None) -> CheckReport:
     """rho(f + g) = rho(f) + rho(g) for fields with disjoint supports,
     and rho(h) = rho(h+) - rho(h-) for their signed difference."""
-    report = CheckReport("disjoint_support_additivity")
-    rho = QuasiIntegral(mu)
-    rng = np.random.default_rng(seed)
-    frame = frame or standard_frame()
-    explicit = f is not None and g is not None
-    if explicit and not support_region(f).disjoint_from(support_region(g)):
-        raise SupportOverlapError("fields do not have disjoint supports")
+    suite = _Suite("disjoint_support_additivity", mu, seed, frame)
+    rho, frame, report = suite.rho, suite.frame, suite.report
     width = frame.x_max - frame.x_min
     left = (frame.x_min + 0.5, frame.x_min + 0.44 * width,
             frame.y_min + 0.5, frame.y_max - 0.5)
     right = (frame.x_min + 0.56 * width, frame.x_max - 0.5,
              frame.y_min + 0.5, frame.y_max - 0.5)
-    avoid = _measure_points(mu)
-    n = 1 if explicit else trials
-    for trial in range(n):
-        ft = f if explicit else draw_plateau(rng, frame, window=left, avoid_points=avoid)
-        gt = g if explicit else draw_plateau(rng, frame, window=right, avoid_points=avoid)
+    for trial in suite.trials(trials):
+        ft, gt = suite.plateau(left), suite.plateau(right)
         vf, vg = rho(ft), rho(gt)
         v_sum = rho(add(ft, gt))
         defect = abs(v_sum - vf - vg)
-        report.trials += 1
         if defect > tol:
             report.record(defect, {"trial": trial, "kind": "sum",
                                    "lhs": v_sum, "rhs": vf + vg})
@@ -306,8 +307,9 @@ def check_nonlinearity_example(b: float = 1.0, frame: Frame | None = None,
     rho(f) = rho(g) = b while rho(f + g) = 1.5 b, so the additivity defect
     is exactly b/2: the functional is not linear.
     """
-    if b <= 0:
-        raise GeometryError("height must be positive")
+    all_heights = [b] if heights is None else list(heights)
+    if not all_heights or not all(h > 0 for h in (b, *all_heights)):
+        raise GeometryError("every height must be positive, and heights non-empty")
     frame = frame or standard_frame()
     if (frame.x_min, frame.x_max, frame.y_min, frame.y_max) != (0.0, 10.0, 0.0, 10.0):
         raise GeometryError("the crossed-plateau configuration lives on [0,10]^2")
@@ -315,7 +317,6 @@ def check_nonlinearity_example(b: float = 1.0, frame: Frame | None = None,
         raise GeometryError("configuration needs at least a 64x64 grid")
     report = CheckReport("nonlinearity_example")
     rho = QuasiIntegral(crossing_measure())
-    all_heights = list(heights) if heights else [b]
     per_height = {}
     for height in all_heights:
         eps = tol if tol is not None else 1e-9 * height
@@ -341,36 +342,24 @@ def check_nonlinearity_example(b: float = 1.0, frame: Frame | None = None,
 
 
 @_timed
-def check_monotone_lipschitz(mu: TopologicalMeasure, f: ScalarField | None = None,
-                             g: ScalarField | None = None, trials: int = 200,
+def check_monotone_lipschitz(mu: TopologicalMeasure, trials: int = 200,
                              seed: int = 0, tol: float = 1e-6,
                              frame: Frame | None = None) -> CheckReport:
     """f >= g forces rho(f) >= rho(g); and rho is Lipschitz on a common
     compact support, with constant mu(K) for non-negative pairs and
     2 mu(K) in general."""
-    report = CheckReport("monotone_lipschitz")
-    rho = QuasiIntegral(mu)
-    rng = np.random.default_rng(seed)
-    frame = frame or standard_frame()
-    explicit = f is not None and g is not None
-    avoid = _measure_points(mu)
-    n = 1 if explicit else trials
-    for trial in range(n):
-        if explicit:
-            ft, gt = f, g
+    suite = _Suite("monotone_lipschitz", mu, seed, frame)
+    rho, rng, report = suite.rho, suite.rng, suite.report
+    for trial in suite.trials(trials):
+        # a truncation, a scaling, or an independent signed field
+        ft = suite.field(signed=trial % 3 == 2)
+        if trial % 3 == 0:
+            gt = truncate(ft, float(rng.uniform(0.2, 0.9)) * max(sup_norm(ft), 0.1))
+        elif trial % 3 == 1:
+            gt = scale(ft, float(rng.choice([0.25, 0.5, 0.75])))
         else:
-            mode = trial % 3
-            if mode == 0:
-                ft = draw_field(rng, frame, signed=False, avoid_points=avoid)
-                gt = truncate(ft, float(rng.uniform(0.2, 0.9)) * max(sup_norm(ft), 0.1))
-            elif mode == 1:
-                ft = draw_field(rng, frame, signed=False, avoid_points=avoid)
-                gt = scale(ft, float(rng.choice([0.25, 0.5, 0.75])))
-            else:
-                ft = draw_field(rng, frame, signed=True, avoid_points=avoid)
-                gt = draw_field(rng, frame, signed=True, avoid_points=avoid)
+            gt = suite.field(signed=True)
         vf, vg = rho(ft), rho(gt)
-        report.trials += 1
         if bool(np.all(ft.values >= gt.values)) and vf < vg - tol:
             report.record(vg - vf, {"trial": trial, "kind": "monotone",
                                     "rho_f": vf, "rho_g": vg})
@@ -493,15 +482,11 @@ def check_homogeneity(mu: TopologicalMeasure, coeffs=(-2.0, -1.0, 0.5, 3.0),
                       trials: int = 200, seed: int = 0, tol: float = 1e-6,
                       frame: Frame | None = None) -> CheckReport:
     """rho(a f) = a rho(f) for every real coefficient."""
-    report = CheckReport("homogeneity")
-    rho = QuasiIntegral(mu)
-    rng = np.random.default_rng(seed)
-    frame = frame or standard_frame()
-    avoid = _measure_points(mu)
-    for trial in range(trials):
-        f = draw_field(rng, frame, signed=trial % 2 == 1, avoid_points=avoid)
+    suite = _Suite("homogeneity", mu, seed, frame)
+    rho, report = suite.rho, suite.report
+    for trial in suite.trials(trials):
+        f = suite.field(signed=trial % 2 == 1)
         vf = rho(f)
-        report.trials += 1
         for a in coeffs:
             defect = abs(rho(scale(f, a)) - a * vf)
             if defect > tol:
@@ -513,18 +498,12 @@ def check_homogeneity(mu: TopologicalMeasure, coeffs=(-2.0, -1.0, 0.5, 3.0),
 def check_positivity(mu: TopologicalMeasure, trials: int = 200, seed: int = 0,
                      tol: float = 0.0, frame: Frame | None = None) -> CheckReport:
     """f >= 0 forces rho(f) >= 0."""
-    report = CheckReport("positivity")
-    rho = QuasiIntegral(mu)
-    rng = np.random.default_rng(seed)
-    frame = frame or standard_frame()
-    avoid = _measure_points(mu)
-    for trial in range(trials):
-        f = draw_field(rng, frame, signed=False, avoid_points=avoid)
-        v = rho(f)
-        report.trials += 1
+    suite = _Suite("positivity", mu, seed, frame)
+    for trial in suite.trials(trials):
+        v = suite.rho(suite.field())
         if v < -tol:
-            report.record(-v, {"trial": trial, "rho": v})
-    return report
+            suite.report.record(-v, {"trial": trial, "rho": v})
+    return suite.report
 
 
 @_timed
@@ -610,16 +589,13 @@ def check_distribution_invariants(mu: TopologicalMeasure, trials: int = 50,
     """Every constructed distribution function is a non-increasing step
     function with a zero tail, bounded by the support mass, and its interval
     masses are additive at step-aligned cut points."""
-    report = CheckReport("distribution_invariants")
-    rng = np.random.default_rng(seed)
-    frame = frame or standard_frame()
-    finite = math.isfinite(mu.total_mass(frame))
-    avoid = _measure_points(mu)
-    for trial in range(trials):
-        f = draw_field(rng, frame, signed=trial % 3 == 2, avoid_points=avoid)
+    suite = _Suite("distribution_invariants", mu, seed, frame)
+    rng, report = suite.rng, suite.report
+    finite = math.isfinite(mu.total_mass(suite.frame))
+    for trial in suite.trials(trials):
+        f = suite.field(signed=trial % 3 == 2)
         res_b = quasi_integral(mu, f, "B")
         F = res_b.distribution
-        report.trials += 1
         vals = np.concatenate([[F.left_limit], F.values])
         if bool((np.diff(vals) > 0).any()):
             report.record(float(np.diff(vals).max()),

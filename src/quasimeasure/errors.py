@@ -33,9 +33,5 @@ class VariantError(QuasimeasureError):
     """The measure variant is not supported by this operation."""
 
 
-class SupportOverlapError(QuasimeasureError):
-    """Fields that must have disjoint supports overlap."""
-
-
 class ConfigError(QuasimeasureError):
     """A scenario file is malformed or references unknown names."""

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from quasimeasure import ConfigError
 from quasimeasure.cli import main
 from quasimeasure.scenario import (
+    _CHECKS,
     Scenario,
     bundled_scenario_path,
     execute_scenario,
@@ -75,8 +76,9 @@ class TestBundledScenarios:
 
 
 class TestDeterminism:
-    def test_reports_identical_modulo_timing(self, nonlinear_path):
-        scenario = load_scenario(nonlinear_path)
+    @pytest.mark.parametrize("name", ["nonlinear_example", "measure_baseline"])
+    def test_reports_identical_modulo_timing(self, name):
+        scenario = load_scenario(bundled_scenario_path(name))
         r1 = execute_scenario(scenario, out_dir=None)
         r2 = execute_scenario(scenario, out_dir=None)
         a, b = copy.deepcopy(r1), copy.deepcopy(r2)
@@ -138,6 +140,12 @@ class TestValidation:
     def test_resolution_override(self, nonlinear_path):
         scenario = load_scenario(nonlinear_path, resolution=96)
         assert scenario.frame.nx == scenario.frame.ny == 96
+
+    @pytest.mark.parametrize("name", sorted(_CHECKS))
+    def test_check_keeps_its_name_and_docstring(self, name):
+        fn = _CHECKS[name][0]
+        assert fn.__name__ == f"check_{name}"
+        assert fn.__doc__
 
 
 class TestFieldBuilders:
@@ -255,6 +263,11 @@ class TestCli:
          "$.measures.crossing.value_by_count[2]"),
         ("nonlinear_example", {("measures", "crossing", "points", 0): [5.37, 5.63, 1.0]}, [],
          "$.measures.crossing.points[0]"),
+        # no trials, or no or a non-positive height, is a configuration error
+        ("measure_baseline", {("checks", 6, "trials"): 0}, [], "$.checks[6]"),
+        ("measure_baseline", {("checks", 6, "trials"): -3}, [], "$.checks[6]"),
+        ("nonlinear_example", {("checks", 0, "heights"): [-1.0]}, [], "$.checks[0]"),
+        ("nonlinear_example", {("checks", 0, "heights"): []}, [], "$.checks[0]"),
     ])
     def test_malformed_scenario_exits_2_before_any_report(self, tmp_path, capsys, name,
                                                           edits, args, where):
