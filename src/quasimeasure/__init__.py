@@ -59,20 +59,7 @@ from .reconstruct import (
     mu_rho_open,
     roundtrip,
 )
-from .regions import (
-    Region,
-    SolidDecomposition,
-    connected_components,
-    dilate,
-    empty_region,
-    erode,
-    frame_interior,
-    holes,
-    is_solid,
-    rect_region,
-    solid_decomposition,
-    solid_hull,
-)
+from .regions import Region, dilate, empty_region, erode, frame_interior, rect_region
 from .scenario import Scenario, execute_scenario, load_scenario, run_scenario
 
 __version__ = "0.1.0"
@@ -83,14 +70,12 @@ __all__ = [
     "FrameMismatchError", "GeometryError", "InfiniteMeasureError",
     "PiecewiseLinearMap", "PointCountMeasure", "QuasiIntegral",
     "QuasiIntegralResult", "QuasimeasureError", "ReconstructionReport",
-    "Region", "RoundTripEntry", "ScalarField", "Scenario",
-    "SolidDecomposition", "TieBreakError",
+    "Region", "RoundTripEntry", "ScalarField", "Scenario", "TieBreakError",
     "TopologicalMeasure", "VariantError", "add", "build_plateau", "compose",
-    "connected_components", "dilate", "distribution_function", "empty_region",
-    "erode", "execute_scenario", "field_to_csv", "frame_interior", "holes",
-    "interval_mass", "is_solid", "linear_oracle", "load_scenario",
-    "mu_rho_compact", "mu_rho_open", "neg_part", "pos_part", "quasi_integral",
-    "rect_region", "roundtrip", "run_scenario", "scale", "solid_decomposition",
-    "solid_hull", "sup_distance", "sup_norm", "support_region", "tm_eval",
-    "truncate", "zero_field",
+    "dilate", "distribution_function", "empty_region", "erode",
+    "execute_scenario", "field_to_csv", "frame_interior", "interval_mass",
+    "linear_oracle", "load_scenario", "mu_rho_compact", "mu_rho_open",
+    "neg_part", "pos_part", "quasi_integral", "rect_region", "roundtrip",
+    "run_scenario", "scale", "sup_distance", "sup_norm", "support_region",
+    "tm_eval", "truncate", "zero_field",
 ]

@@ -54,7 +54,6 @@ class DistributionFn:
     values: np.ndarray
     domain: tuple[float, float]
     left_limit: float
-    total_mass: float
 
     def __post_init__(self):
         t = np.ascontiguousarray(np.asarray(self.thresholds, dtype=float))
@@ -150,9 +149,10 @@ class _LevelEvaluator:
     the open-role edge check of a full-frame Region.
     """
 
-    def __init__(self, mu: PointCountMeasure, f: ScalarField, variant: str):
+    def __init__(self, mu: PointCountMeasure, f: ScalarField, variant: str, total: float):
         self.mu = mu
         self.variant = variant
+        self.total = total
         self.levels = np.unique(f.values)
         rows, cols = mu.marked_cells(f.frame)
         j = np.searchsorted(self.levels, f.values[rows, cols])
@@ -163,10 +163,6 @@ class _LevelEvaluator:
         self.max_depth = max(f.frame.nx, f.frame.ny)
         self.cache: dict[int, float] = {}
         self.evals = 0
-        if variant == VARIANT_A:
-            self.total = mu.total_mass(f.frame)
-            if math.isinf(self.total):
-                raise InfiniteMeasureError("variant A requires a finite measure")
 
     @property
     def m(self) -> int:
@@ -229,10 +225,10 @@ class _LevelEvaluator:
         self.refine(mid, hi, jumps)
 
 
-def _bisection(mu: PointCountMeasure, f: ScalarField,
-               variant: str) -> tuple[DistributionFn, int]:
+def _bisection(mu: PointCountMeasure, f: ScalarField, variant: str,
+               total: float) -> tuple[DistributionFn, int]:
     """F by monotone bisection: the point-count measure has no atoms to sum."""
-    ev = _LevelEvaluator(mu, f, variant)
+    ev = _LevelEvaluator(mu, f, variant, total)
     levels = ev.levels
     jumps: list[tuple[float, float]] = []
     ev.refine(0, ev.m - 1, jumps)
@@ -240,17 +236,14 @@ def _bisection(mu: PointCountMeasure, f: ScalarField,
         thresholds=np.array([levels[0]] + [t for t, _ in jumps]),
         values=np.array([ev.segment_value(0)] + [v for _, v in jumps]),
         domain=(float(levels[0]), float(levels[-1])),
-        left_limit=ev.segment_value(-1), total_mass=mu.total_mass(f.frame),
+        left_limit=ev.segment_value(-1),
     )
     return F, ev.evals
 
 
-def _layer_cake(mu: TopologicalMeasure, f: ScalarField, variant: str,
+def _layer_cake(f: ScalarField, variant: str, total: float,
                 values: np.ndarray, weights) -> DistributionFn:
     """F of an additive measure: cumulative sums of its atoms' weights."""
-    total = mu.total_mass(f.frame)
-    if variant == VARIANT_A and math.isinf(total):
-        raise InfiniteMeasureError("variant A requires a finite measure")
     if np.ndim(weights) and len(weights) and bool((weights == weights[0]).all()):
         # a cumulative sum of many equal floats drifts one way: count them instead
         weights = weights[0]
@@ -284,8 +277,7 @@ def _layer_cake(mu: TopologicalMeasure, f: ScalarField, variant: str,
         left_limit = total
     keep = np.flatnonzero(np.r_[True, F[1:] != F[:-1]])
     return DistributionFn(
-        thresholds=grid[keep], values=F[keep], domain=(a, b),
-        left_limit=left_limit, total_mass=total,
+        thresholds=grid[keep], values=F[keep], domain=(a, b), left_limit=left_limit,
     )
 
 
@@ -297,10 +289,13 @@ def _build_distribution(
     """F and the number of mass evaluations it took."""
     if variant not in (VARIANT_A, VARIANT_B):
         raise VariantError(f"unknown variant {variant!r}")
+    total = mu.total_mass(f.frame)
+    if variant == VARIANT_A and math.isinf(total):
+        raise InfiniteMeasureError("variant A requires a finite measure")
     atoms = mu.atoms(f)
     if atoms is None:
-        return _bisection(mu, f, variant)
-    return _layer_cake(mu, f, variant, *atoms), 0
+        return _bisection(mu, f, variant, total)
+    return _layer_cake(f, variant, total, *atoms), 0
 
 
 def distribution_function(

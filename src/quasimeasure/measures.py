@@ -48,10 +48,6 @@ class TopologicalMeasure:
         """
         return None
 
-    def marked_cells(self, frame: Frame) -> tuple[np.ndarray, np.ndarray]:
-        """Cell rows and columns of the in-frame marked points; none by default."""
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
-
 
 class _MarkedPoints:
     """Marked points whose cells are looked up once per frame.

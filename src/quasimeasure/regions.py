@@ -1,14 +1,18 @@
-"""Rasterized planar set topology: components, holes, solidness, morphology.
+"""Rasterized planar sets: regions, the boxed topology kernel, morphology and
+marked points.
 
 Digital-topology convention: regions are 4-connected, complements are
 8-connected. A complement component is "unbounded" when it reaches the
 frame boundary (outside the frame everything is connected through the
-unbounded exterior of the window).
+unbounded exterior of the window); the bounded ones are the holes. The
+kernel (`_components_in_boxes`, `_holes`) gives components and holes as
+boxed parts, each a bounding box and the set's cells inside it, and the
+point-count mass recursion is its one caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -53,10 +57,6 @@ class Region:
         return int(self.mask.sum())
 
     @property
-    def area(self) -> float:
-        return self.cell_count * self.frame.cell_area
-
-    @property
     def is_empty(self) -> bool:
         return not bool(self.mask.any())
 
@@ -85,10 +85,6 @@ class Region:
         self._check_frame(other)
         return bool(np.all(~self.mask | other.mask))
 
-    def disjoint_from(self, other: "Region") -> bool:
-        self._check_frame(other)
-        return not bool((self.mask & other.mask).any())
-
     def __eq__(self, other):
         if not isinstance(other, Region):
             return NotImplemented
@@ -97,14 +93,6 @@ class Region:
             and self.role == other.role
             and bool(np.array_equal(self.mask, other.mask))
         )
-
-
-@dataclass(frozen=True)
-class SolidDecomposition:
-    """Connected components of a region paired with their holes."""
-
-    region: Region
-    components: tuple = field(default_factory=tuple)  # tuple[(Region, tuple[Region, ...])]
 
 
 def rect_region(frame: Frame, x0: float, x1: float, y0: float, y1: float,
@@ -140,7 +128,7 @@ def frame_interior(frame: Frame, margin: int = 1) -> Region:
     return Region(frame, mask, OPEN)
 
 
-# -- components, holes, solidness -------------------------------------
+# -- components and holes, as boxed parts ------------------------------
 
 
 def _bbox(mask: np.ndarray) -> tuple[slice, slice] | None:
@@ -216,58 +204,14 @@ def _holes(mask: np.ndarray) -> tuple[np.ndarray, list[_Part]]:
                     for k, b in enumerate(ndimage.find_objects(labels)[1:], start=2)]
 
 
-def _flip_role(role: str) -> str:
-    return COMPACT if role == OPEN else OPEN
+# -- morphology --------------------------------------------------------
 
 
-def _embed(r: Region, box: tuple[slice, slice], sub: np.ndarray, role: str) -> Region:
+def _embed(r: Region, box: tuple[slice, slice], sub: np.ndarray) -> Region:
+    """The region of r's frame and role whose cells are `sub` inside `box`."""
     mask = np.zeros(r.frame.shape, dtype=bool)
     mask[box] = sub
-    return Region(r.frame, mask, role)
-
-
-def _holes_in_frame(r: Region, box: tuple[slice, slice], sub: np.ndarray) -> list[Region]:
-    """Holes of `sub`, the part of r's frame inside `box`, as frame regions."""
-    r0, c0 = box[0].start - 1, box[1].start - 1
-    return [_embed(r, _shift(hb, r0, c0), hole, _flip_role(r.role))
-            for hb, hole in _holes(sub)[1]]
-
-
-def connected_components(r: Region) -> list[Region]:
-    """4-connected components, in label order."""
-    return [_embed(r, box, comp, r.role) for box, comp in _components_in_boxes(r.mask)]
-
-
-def holes(r: Region) -> list[Region]:
-    """Bounded complement components of the whole region (role flipped)."""
-    box = _bbox(r.mask)
-    return [] if box is None else _holes_in_frame(r, box, r.mask[box])
-
-
-def is_solid(r: Region) -> bool:
-    """Connected with a complement that only reaches the frame boundary."""
-    comps = _components_in_boxes(r.mask)
-    return len(comps) == 1 and not _holes(comps[0][1])[1]
-
-
-def solid_decomposition(r: Region) -> SolidDecomposition:
-    comps = tuple(
-        (_embed(r, box, comp, r.role), tuple(_holes_in_frame(r, box, comp)))
-        for box, comp in _components_in_boxes(r.mask)
-    )
-    return SolidDecomposition(region=r, components=comps)
-
-
-def solid_hull(r: Region) -> Region:
-    """Region with every hole of every component filled."""
-    out = np.array(r.mask)
-    box = _bbox(out)
-    if box is not None:
-        out[box] |= _holes(out[box])[0][1:-1, 1:-1] != 1
-    return Region(r.frame, out, r.role)
-
-
-# -- morphology --------------------------------------------------------
+    return Region(r.frame, mask, r.role)
 
 
 def erode(r: Region, k: int) -> Region:
@@ -283,7 +227,7 @@ def erode(r: Region, k: int) -> Region:
         return r
     sub = ndimage.binary_erosion(r.mask[box], structure=EIGHT_CONN, iterations=k,
                                  border_value=0)
-    return _embed(r, box, sub, r.role)
+    return _embed(r, box, sub)
 
 
 def dilate(r: Region, k: int) -> Region:
@@ -305,7 +249,7 @@ def dilate(r: Region, k: int) -> Region:
     box = _grow(box, k, r.frame.shape)
     sub = ndimage.binary_dilation(r.mask[box], structure=EIGHT_CONN, iterations=k,
                                   border_value=0)
-    return _embed(r, box, sub, r.role)
+    return _embed(r, box, sub)
 
 
 # -- marked points ------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -75,6 +76,10 @@ def _int(scenario, value, path: str) -> int:
 def _float(scenario, value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
+    # json reads the bare literals NaN and Infinity, and integers of any size;
+    # the comparison is exact for an int and false for NaN
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        _fail(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -8,16 +8,14 @@ PUBLIC = [
     "FrameMismatchError", "GeometryError", "InfiniteMeasureError",
     "PiecewiseLinearMap", "PointCountMeasure", "QuasiIntegral",
     "QuasiIntegralResult", "QuasimeasureError", "ReconstructionReport",
-    "Region", "RoundTripEntry", "ScalarField", "Scenario",
-    "SolidDecomposition", "TieBreakError",
+    "Region", "RoundTripEntry", "ScalarField", "Scenario", "TieBreakError",
     "TopologicalMeasure", "VariantError", "add", "build_plateau", "compose",
-    "connected_components", "dilate", "distribution_function", "empty_region",
-    "erode", "execute_scenario", "field_to_csv", "frame_interior", "holes",
-    "interval_mass", "is_solid", "linear_oracle", "load_scenario",
-    "mu_rho_compact", "mu_rho_open", "neg_part", "pos_part", "quasi_integral",
-    "rect_region", "roundtrip", "run_scenario", "scale", "solid_decomposition",
-    "solid_hull", "sup_distance", "sup_norm", "support_region", "tm_eval",
-    "truncate", "zero_field",
+    "dilate", "distribution_function", "empty_region", "erode",
+    "execute_scenario", "field_to_csv", "frame_interior", "interval_mass",
+    "linear_oracle", "load_scenario", "mu_rho_compact", "mu_rho_open",
+    "neg_part", "pos_part", "quasi_integral", "rect_region", "roundtrip",
+    "run_scenario", "scale", "sup_distance", "sup_norm", "support_region",
+    "tm_eval", "truncate", "zero_field",
 ]
 
 

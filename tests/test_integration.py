@@ -293,17 +293,17 @@ class TestDistributionValidation:
     def test_must_be_non_increasing(self):
         with pytest.raises(ValueError):
             DistributionFn(np.array([0.0, 1.0]), np.array([0.5, 0.0]),
-                           (0.0, 1.0), left_limit=0.25, total_mass=1.0)
+                           (0.0, 1.0), left_limit=0.25)
 
     def test_tail_must_vanish(self):
         with pytest.raises(ValueError):
             DistributionFn(np.array([0.0, 1.0]), np.array([1.0, 0.5]),
-                           (0.0, 1.0), left_limit=1.0, total_mass=1.0)
+                           (0.0, 1.0), left_limit=1.0)
 
     def test_thresholds_strictly_increasing(self):
         with pytest.raises(ValueError):
             DistributionFn(np.array([0.0, 0.0]), np.array([1.0, 0.0]),
-                           (0.0, 0.0), left_limit=1.0, total_mass=1.0)
+                           (0.0, 0.0), left_limit=1.0)
 
     def test_csv_roundtrip(self, tmp_path, crossing, golden_sum):
         F = distribution_function(crossing, golden_sum)
@@ -345,7 +345,8 @@ def test_single_atom_oracle(frame64):
 
 def test_density_oracle_between_inner_and_outer_area(frame64, lebesgue, golden_pair, regions64):
     oracle = linear_oracle(lebesgue, golden_pair[0])
-    assert regions64["K"].area <= oracle <= regions64["U"].area
+    cell = golden_pair[0].frame.cell_area
+    assert regions64["K"].cell_count * cell <= oracle <= regions64["U"].cell_count * cell
 
 
 # -- anchored bisection against the midpoint bisection ------------------------
@@ -444,7 +445,7 @@ def _midpoint_bisection(mu, f, variant: str) -> tuple[DistributionFn, int]:
         thresholds=np.array([levels[0]] + [t for t, _ in jumps]),
         values=np.array([ev.segment_value(0)] + [v for _, v in jumps]),
         domain=(float(levels[0]), float(levels[-1])),
-        left_limit=ev.segment_value(-1), total_mass=mu.total_mass(f.frame),
+        left_limit=ev.segment_value(-1),
     )
     return F, ev.evals
 

@@ -2,22 +2,19 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from test_topology_kernel import kernel_parts
+
 from quasimeasure import (
     FrameError,
     FrameMismatchError,
     Region,
-    connected_components,
     dilate,
     empty_region,
     erode,
     frame_interior,
-    holes,
-    is_solid,
     rect_region,
-    solid_decomposition,
-    solid_hull,
 )
-from quasimeasure.regions import EIGHT_CONN
+from quasimeasure.regions import EIGHT_CONN, _holes
 
 
 def annulus(frame):
@@ -34,7 +31,6 @@ class TestRegionBasics:
         hi = int(np.floor(3 / h - 0.5))
         per_axis = hi - lo + 1
         assert r.cell_count == per_axis ** 2
-        assert r.area == pytest.approx(per_axis ** 2 * frame64.cell_area)
 
     def test_open_role_rejects_boundary_cells(self, frame64):
         with pytest.raises(FrameError):
@@ -45,7 +41,7 @@ class TestRegionBasics:
         b = rect_region(frame64, 3, 7, 3, 7, role="compact")
         assert a.intersection(b).subset_of(a)
         assert a.subset_of(a.union(b))
-        assert a.difference(b).disjoint_from(b)
+        assert not (a.difference(b).mask & b.mask).any()
 
     def test_frame_mismatch(self, frame64):
         from quasimeasure import Frame
@@ -60,64 +56,61 @@ class TestRegionBasics:
 
 
 class TestTopology:
+    """The kernel's conventions, on its components, holes and hulls embedded
+    back into the frame."""
+
     def test_filled_rect_is_solid(self, frame64):
         r = rect_region(frame64, 2, 6, 2, 6, role="compact")
-        assert is_solid(r)
-        assert holes(r) == []
-        assert len(connected_components(r)) == 1
+        [(comp, holes, hull)] = kernel_parts(r.mask)
+        assert holes == []
+        assert np.array_equal(comp, r.mask) and np.array_equal(hull, r.mask)
 
     def test_annulus_has_one_hole(self, frame64):
         r = annulus(frame64)
-        assert len(connected_components(r)) == 1
-        hs = holes(r)
-        assert len(hs) == 1
-        assert not is_solid(r)
-        # hole role flips relative to the region
-        assert hs[0].role == "open"
-        assert np.array_equal(
-            solid_hull(r).mask,
-            rect_region(frame64, 2, 8, 2, 8, role="compact").mask,
-        )
+        [(comp, holes, hull)] = kernel_parts(r.mask)
+        assert len(holes) == 1
+        filled = rect_region(frame64, 2, 8, 2, 8, role="compact").mask
+        assert np.array_equal(hull, filled)
+        assert np.array_equal(holes[0], filled & ~r.mask)
 
     def test_two_rectangles(self, frame64):
         r = rect_region(frame64, 1, 3, 1, 3).union(rect_region(frame64, 6, 8, 6, 8))
-        assert len(connected_components(r)) == 2
-        assert not is_solid(r)
+        assert len(kernel_parts(r.mask)) == 2
 
     def test_diagonal_touch_is_disconnected(self, frame64):
         mask = np.zeros(frame64.shape, dtype=bool)
         mask[10, 10] = mask[11, 11] = True
-        r = Region(frame64, mask, role="compact")
-        assert len(connected_components(r)) == 2
+        assert len(kernel_parts(mask)) == 2
 
     def test_complement_hole_uses_eight_connectivity(self, frame64):
         # a diamond of cells whose inside touches the outside only diagonally:
         # with 8-connected complements this is NOT a hole
         mask = np.zeros(frame64.shape, dtype=bool)
         mask[20, 21] = mask[21, 20] = mask[21, 22] = mask[22, 21] = True
-        r = Region(frame64, mask, role="compact")
-        assert holes(r) == []
+        assert _holes(mask)[1] == []
+        assert _holes(mask[20:23, 20:23])[1] == []
 
     def test_empty_region_not_solid(self, frame64):
-        assert not is_solid(empty_region(frame64))
+        assert kernel_parts(empty_region(frame64).mask) == []
 
     def test_full_width_bar_is_solid(self, frame64):
         # both complement strips touch the frame boundary: no hole
         mask = np.zeros(frame64.shape, dtype=bool)
         mask[30:34, :] = True
-        r = Region(frame64, mask, role="compact")
-        assert is_solid(r)
+        [(comp, holes, hull)] = kernel_parts(mask)
+        assert holes == []
+        assert _holes(mask)[1] == []
 
     def test_solid_decomposition(self, frame64):
         r = annulus(frame64).union(rect_region(frame64, 0.5, 1.5, 0.5, 1.5))
-        dec = solid_decomposition(r)
-        assert len(dec.components) == 2
-        comps = [c for c, _ in dec.components]
-        assert comps[0].disjoint_from(comps[1])
-        for comp, comp_holes in dec.components:
-            for hole in comp_holes:
-                assert hole.subset_of(solid_hull(comp))
-                assert hole.disjoint_from(comp)
+        parts = kernel_parts(r.mask)
+        assert len(parts) == 2
+        assert not (parts[0][0] & parts[1][0]).any()
+        assert sum(len(holes) for _, holes, _ in parts) == 1
+        for comp, holes, hull in parts:
+            for hole in holes:
+                assert not (hole & ~hull).any()
+                assert not (hole & comp).any()
 
 
 def full_frame_erode(r, k):

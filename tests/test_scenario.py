@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,6 +269,15 @@ class TestCli:
         ("measure_baseline", {("checks", 6, "trials"): -3}, [], "$.checks[6]"),
         ("nonlinear_example", {("checks", 0, "heights"): [-1.0]}, [], "$.checks[0]"),
         ("nonlinear_example", {("checks", 0, "heights"): []}, [], "$.checks[0]"),
+        # json reads NaN and Infinity: a scenario number must be finite
+        ("measure_baseline", {("checks", 6, "tol"): math.nan}, [], "$.checks[6].tol"),
+        ("measure_baseline", {("measures", "spikes", "points", 1, 0): math.nan}, [],
+         "$.measures.spikes.points[1][0]"),
+        ("nonlinear_example", {("measures", "crossing", "value_by_count", 5): math.nan}, [],
+         "$.measures.crossing.value_by_count[5]"),
+        ("measure_baseline", {("frame", "x_max"): math.inf}, [], "$.frame.x_max"),
+        # and integers of any size: this one has no float
+        ("measure_baseline", {("checks", 6, "tol"): 10 ** 400}, [], "$.checks[6].tol"),
     ])
     def test_malformed_scenario_exits_2_before_any_report(self, tmp_path, capsys, name,
                                                           edits, args, where):

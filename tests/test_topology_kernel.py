@@ -2,8 +2,9 @@
 
 `_ref_*` below is the earlier implementation, which labels the whole frame
 for every component and every hole. The kernel works inside each set's
-bounding box instead; it must give the same regions and the same masses bit
-for bit, so every comparison here is `==`.
+bounding box instead; embedded back into the frame, its components and
+holes must be the reference's, in the same order, and its masses the same
+bit for bit, so every comparison here is exact.
 
 `_cropped_mass_of_mask` is the cropped mass kernel as it was before it
 skipped the labellings no marked point can affect. The kernel must give the
@@ -16,15 +17,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from quasimeasure import (
-    Frame,
-    PointCountMeasure,
-    Region,
-    holes,
-    is_solid,
-    solid_decomposition,
-    solid_hull,
-)
+from quasimeasure import Frame, PointCountMeasure, Region
 from quasimeasure.regions import (
     COMPACT,
     EIGHT_CONN,
@@ -32,6 +25,7 @@ from quasimeasure.regions import (
     OPEN,
     _components_in_boxes,
     _holes,
+    _shift,
     point_cells,
 )
 
@@ -54,34 +48,11 @@ def _ref_hole_masks(mask):
     return [labels == k for k in range(1, n + 1) if k not in edge_labels]
 
 
-def _flip(role):
-    return COMPACT if role == OPEN else OPEN
-
-
-def ref_holes(r):
-    return [Region(r.frame, m, _flip(r.role)) for m in _ref_hole_masks(r.mask)]
-
-
-def ref_is_solid(r):
-    if r.is_empty:
-        return False
-    _, n = ndimage.label(r.mask, structure=FOUR_CONN)
-    return n == 1 and not _ref_hole_masks(r.mask)
-
-
-def ref_solid_decomposition(r):
-    return tuple(
-        (Region(r.frame, cm, r.role),
-         tuple(Region(r.frame, hm, _flip(r.role)) for hm in _ref_hole_masks(cm)))
-        for cm in _ref_component_masks(r.mask)
-    )
-
-
-def ref_solid_hull(r):
-    out = np.array(r.mask)
-    for hm in _ref_hole_masks(r.mask):
+def _ref_hull_mask(mask):
+    out = np.array(mask)
+    for hm in _ref_hole_masks(mask):
         out |= hm
-    return Region(r.frame, out, r.role)
+    return out
 
 
 def _ref_mass_of_mask(mu, mask, rows, cols, depth):
@@ -182,6 +153,39 @@ def _shortcut_label_calls(mask, rows, cols, seen):
         for hm in _ref_hole_masks(comp):
             calls += _shortcut_label_calls(hm, rows, cols, seen)
     return calls
+
+
+def _in_frame(shape, box, cells):
+    out = np.zeros(shape, dtype=bool)
+    out[box] = cells
+    return out
+
+
+def kernel_parts(mask):
+    """Each component the kernel finds in a full-frame mask, with its holes
+    and its hull, all embedded back into the frame: [(comp, [hole, ...], hull)]."""
+    parts = []
+    for box, comp in _components_in_boxes(mask):
+        labels, hole_parts = _holes(comp)
+        # the hole labels are padded by one ring: their origin is one cell up and left
+        r0, c0 = box[0].start - 1, box[1].start - 1
+        holes = [_in_frame(mask.shape, _shift(hb, r0, c0), hole) for hb, hole in hole_parts]
+        hull = _in_frame(mask.shape, box, labels[1:-1, 1:-1] != 1)
+        parts.append((_in_frame(mask.shape, box, comp), holes, hull))
+    return parts
+
+
+def assert_kernel_matches_the_reference(mask):
+    parts = kernel_parts(mask)
+    ref = _ref_component_masks(mask)
+    assert len(parts) == len(ref)
+    for (comp, holes, hull), want in zip(parts, ref):
+        assert np.array_equal(comp, want)
+        want_holes = _ref_hole_masks(want)
+        assert len(holes) == len(want_holes)
+        for hole, want_hole in zip(holes, want_holes):
+            assert np.array_equal(hole, want_hole)
+        assert np.array_equal(hull, _ref_hull_mask(want))
 
 
 # -- inputs ----------------------------------------------------------------
@@ -327,7 +331,7 @@ def _clustered_in_holes(region, rng, zeros):
     """Points on the hole cells nearest one random hole cell, so most share a
     hole, with one more on the region for half of the draws."""
     frame = region.frame
-    hole_cells = np.flatnonzero((ref_solid_hull(region).mask & ~region.mask).ravel())
+    hole_cells = np.flatnonzero((_ref_hull_mask(region.mask) & ~region.mask).ravel())
     if len(hole_cells) == 0:
         return _points_in(region, rng)
     rows, cols = np.divmod(hole_cells, frame.nx)
@@ -376,10 +380,7 @@ def _ring_cases():
 
 def test_regions_match_the_full_frame_reference():
     for region in REGIONS:
-        assert holes(region) == ref_holes(region)
-        assert solid_hull(region) == ref_solid_hull(region)
-        assert is_solid(region) == ref_is_solid(region)
-        assert solid_decomposition(region).components == ref_solid_decomposition(region)
+        assert_kernel_matches_the_reference(region.mask)
 
 
 def test_mass_matches_the_full_frame_reference_bit_for_bit():
@@ -420,18 +421,18 @@ def test_nested_rings_at_other_sizes(n):
         region = _nested_rings(frame, depth, (n // 2, n // 2 - 1), COMPACT)
         mu = _points_in(region, rng)
         assert mu.mass(region) == ref_mass(mu, region)
-        assert solid_decomposition(region).components == ref_solid_decomposition(region)
+        assert_kernel_matches_the_reference(region.mask)
 
 
 def test_the_inputs_cover_the_cases():
     """Edge-touching sets, several holes, diagonal-only holes, deep nesting."""
     edge = [r for r in REGIONS if r.mask[0].any() or r.mask[:, 0].any()]
     assert len(edge) > 50
-    assert max(len(ref_holes(r)) for r in REGIONS) > 10
+    assert max(len(_ref_hole_masks(r.mask)) for r in REGIONS) > 10
     split_holes = [
         r for r in _diagonal_holes()
-        if any(len(_ref_component_masks(h.mask)) > 1 for h in ref_holes(r))
+        if any(len(_ref_component_masks(h)) > 1 for h in _ref_hole_masks(r.mask))
     ]
     assert len(split_holes) == 4
     deepest = _nested_rings(FRAME, 11, (48, 48), COMPACT)
-    assert len(ref_holes(deepest)) == 10
+    assert len(_ref_hole_masks(deepest.mask)) == 10
