@@ -40,11 +40,14 @@ class TopologicalMeasure:
     def total_mass(self, frame: Frame) -> float:
         raise NotImplementedError
 
-    def atoms(self, f: ScalarField) -> tuple[np.ndarray, np.ndarray | float] | None:
-        """f's value under each in-frame atom of mass, and the atom's weight.
+    def atoms(self, f: ScalarField) -> tuple[np.ndarray, np.ndarray | float, float] | None:
+        """f's value under each in-frame atom of mass, the atoms' weights and a scale.
 
-        Only an additive measure has atoms; a single float weight applies to
-        every atom. None for a measure that is not additive.
+        Atom i has mass weights[i] * scale; a single float weight applies to
+        every atom. A density's atoms are the cells: its values are f.values
+        itself and its weights one float or a grid of the frame's shape, so
+        the layer cake can read them on the support box of f alone. None for
+        a measure that is not additive.
         """
         return None
 
@@ -229,12 +232,15 @@ class DensityMeasure(TopologicalMeasure):
             return float(grid[region.mask].sum()) * region.frame.cell_area
         return self.density * region.cell_count * region.frame.cell_area
 
-    def atoms(self, f: ScalarField) -> tuple[np.ndarray, np.ndarray | float]:
-        """Every cell is an atom of mass density * cell_area."""
-        area = f.frame.cell_area
+    def atoms(self, f: ScalarField) -> tuple[np.ndarray, np.ndarray | float, float]:
+        """The cells, as f.values and the density grid: mass density * cell_area.
+
+        The layer cake takes each cell's product only inside the support box
+        of f, where every non-zero value lies.
+        """
         if isinstance(self.density, np.ndarray):
-            return f.values.ravel(), self._density_grid(f.frame).ravel() * area
-        return f.values.ravel(), self.density * area
+            return f.values, self._density_grid(f.frame), f.frame.cell_area
+        return f.values, self.density, f.frame.cell_area
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,9 +277,9 @@ class AtomicMeasure(_MarkedPoints, TopologicalMeasure):
         rows, cols, weights = self._in_frame(region.frame)
         return float(weights[region.mask[rows, cols]].sum())
 
-    def atoms(self, f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    def atoms(self, f: ScalarField) -> tuple[np.ndarray, np.ndarray, float]:
         rows, cols, weights = self._in_frame(f.frame)
-        return f.values[rows, cols], weights
+        return f.values[rows, cols], weights, 1.0
 
 
 def tm_eval(mu: TopologicalMeasure, region: Region) -> float:

@@ -27,8 +27,9 @@ from quasimeasure import (
 from quasimeasure import integration
 from quasimeasure.checks import check_extension_consistency
 from quasimeasure.integration import VARIANT_A, VARIANT_B
+from quasimeasure.measures import ATOMIC
 from quasimeasure.presets import crossing_fields, crossing_sum, standard_frame
-from quasimeasure.regions import COMPACT, OPEN, Region
+from quasimeasure.regions import COMPACT, OPEN, Region, _bbox
 
 
 @pytest.fixture(scope="module")
@@ -467,6 +468,15 @@ def _signed_sum(n, rng):
     return f
 
 
+def _both_zeros(f):
+    """f with zeros of both signs: every 7th of its zero cells -0.0, the rest 0.0."""
+    v = f.values.copy()
+    zeros = np.flatnonzero(v == 0.0)
+    v.flat[zeros] = 0.0
+    v.flat[zeros[::7]] = -0.0
+    return ScalarField(f.frame, v)
+
+
 def _gate_fields(kind, n):
     if kind == "golden":
         f, g = crossing_fields(standard_frame(n), 1.0)
@@ -475,7 +485,7 @@ def _gate_fields(kind, n):
         rng = np.random.default_rng([n, 8])
         fields = [_signed_sum(n, rng) for _ in range(10)]
     # a negated field holds -0.0 wherever it vanishes, the edge ring included
-    return fields + [scale(f, -1.0) for f in fields]
+    return fields + [scale(f, -1.0) for f in fields] + [_both_zeros(f) for f in fields]
 
 
 def _same_distribution(F, G):
@@ -558,3 +568,126 @@ def test_mass_shortcuts_label_less(crossing, monkeypatch, kind, n):
             total += got
             oracle_total += want_calls
     assert total < oracle_total
+
+
+def _level_cases(n):
+    """Fields whose support boxes hold every case of the zero level."""
+    frame = standard_frame(n)
+    rng = np.random.default_rng([n, 14])
+    zero = np.zeros(frame.shape)
+    filled = zero.copy()  # a support that fills its box
+    rows, cols = slice(n // 4, n // 2), slice(n // 3, n - n // 3)
+    filled[rows, cols] = rng.uniform(0.1, 1.0, size=filled[rows, cols].shape)
+    holed = filled.copy()  # a box with interior zeros
+    holed[n // 4 + 2:n // 2 - 2, n // 3 + 2:n // 2] = 0.0
+    one = zero.copy()
+    one[n // 3, n // 5] = 0.5
+    fields = {"zero": zero, "filled": filled, "holed": holed, "one_cell": one}
+    fields |= {f"-{k}": -v for k, v in fields.items()}  # zeros of the other sign
+    fields |= {f"{k}+both": _both_zeros(ScalarField(frame, v)).values
+               for k, v in fields.items() if not k.startswith("-")}
+    fields["signed"] = _signed_sum(n, rng).values
+    return {k: ScalarField(frame, v) for k, v in fields.items()}
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_support_levels_are_np_unique(n):
+    """The levels sorted from the support box are np.unique's, zero's sign included."""
+    for name, f in _level_cases(n).items():
+        v = f.values
+        want, want_counts = np.unique(v, return_counts=True)
+        for counts in (False, True):
+            box, levels, got = integration._support_levels(v, counts)
+            assert repr(levels.tolist()) == repr(np.unique(v).tolist()), name
+            assert levels.dtype == want.dtype
+            assert box == (_bbox(v) or (slice(0, 0), slice(0, 0)))
+            if counts:
+                # a zero level's count is never used, and is the box's
+                assert got[levels != 0].tolist() == want_counts[want != 0].tolist()
+            else:
+                assert got is None
+
+
+def _full_frame_atoms(mu, f):
+    """The atoms with every cell of the frame, for the full-frame reference."""
+    if mu.kind == ATOMIC:
+        rows, cols, weights = mu._in_frame(f.frame)
+        return f.values[rows, cols], weights
+    area = f.frame.cell_area
+    if isinstance(mu.density, np.ndarray):
+        return f.values.ravel(), mu._density_grid(f.frame).ravel() * area
+    return f.values.ravel(), mu.density * area
+
+
+def _full_frame_layer_cake(f, variant, total, values, weights):
+    """The layer cake over every cell of the frame: the reference that reading
+    the support box alone must match bit for bit."""
+    if np.ndim(weights) and len(weights) and bool((weights == weights[0]).all()):
+        # a cumulative sum of many equal floats drifts one way: count them instead
+        weights = weights[0]
+    if np.ndim(weights) == 0:
+        # one weight for every atom: sum counts, which is exact, and scale once
+        levels, mass = np.unique(values, return_counts=True)
+        unit = weights
+    else:
+        levels = np.unique(values)
+        mass = np.bincount(np.searchsorted(levels, values), weights=weights)
+        unit = 1.0
+    # The breakpoints start at the field's minimum, and F changes form at 0.
+    a, b = float(f.values.min()), float(f.values.max())
+    grid = np.union1d(levels, [a, 0.0])
+    at = np.zeros(len(grid), dtype=mass.dtype)  # mass of the atoms at each grid value
+    at[np.searchsorted(grid, levels)] = mass
+    # A zero-valued atom lies in no {f > t} with t >= 0; variant B drops it.
+    at[grid == 0.0] = 0
+    above = np.cumsum(at[::-1])[::-1] * unit  # above[i] = mass of {f >= grid[i]}
+    F = np.append(above[1:], 0.0)  # F = mass of {f > grid[i]} on [grid[i], grid[i+1])
+    left_limit = float(above[0])
+    if variant == VARIANT_A:
+        # below 0, {f > t} is co-compact and holds every atom outside the frame
+        below = grid < 0
+        F[below] = total - np.cumsum(at)[below] * unit
+        left_limit = total
+    keep = np.flatnonzero(np.r_[True, F[1:] != F[:-1]])
+    return DistributionFn(
+        thresholds=grid[keep], values=F[keep], domain=(a, b), left_limit=left_limit,
+    )
+
+
+def _gate_measures(n):
+    frame = standard_frame(n)
+    rng = np.random.default_rng([n, 15])
+    on_box = np.full(frame.shape, 0.8)
+    on_box[0] = 1.3  # uniform on every support box, not across the frame
+    # two floats whose products with the cell area are equal
+    d = 1.9
+    while d * frame.cell_area != np.nextafter(d, 2.0) * frame.cell_area:
+        d = np.nextafter(d, 2.0)
+    close = np.where(rng.random(frame.shape) < 0.5, d, np.nextafter(d, 2.0))
+    return {
+        "constant": DensityMeasure(float(rng.uniform(0.1, 2.0))),
+        "per_cell": DensityMeasure(rng.uniform(0.5, 1.5, size=frame.shape)),
+        "on_box": DensityMeasure(on_box),
+        "equal_cells": DensityMeasure(np.full(frame.shape, float(rng.uniform(0.1, 2.0)))),
+        "equal_products": DensityMeasure(close),
+        # some atoms fall outside the frame
+        "atomic": AtomicMeasure(rng.uniform(-1.0, 11.0, size=(40, 2)),
+                                rng.uniform(0.1, 2.0, size=40)),
+        "equal_atoms": AtomicMeasure(rng.uniform(0.5, 9.5, size=(12, 2)), np.full(12, 0.3)),
+    }
+
+
+@pytest.mark.parametrize("kind,n", [
+    ("sums", 64), ("sums", 128), ("golden", 64), ("golden", 333), ("golden", 512),
+])
+def test_layer_cake_equals_full_frame(kind, n):
+    """Reading the cells on the support box gives the full-frame F, by `repr`."""
+    fields = _gate_fields(kind, n)
+    for name, mu in _gate_measures(n).items():
+        for f in fields:
+            for variant in (VARIANT_A, VARIANT_B):
+                res = quasi_integral(mu, f, variant)
+                F = _full_frame_layer_cake(f, variant, mu.total_mass(f.frame),
+                                           *_full_frame_atoms(mu, f))
+                _same_distribution(res.distribution, F)
+                assert repr(res.value) == repr(F.integral() + F.domain[0] * F.left_limit), name
