@@ -8,6 +8,7 @@ single "timing" key.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -20,10 +21,10 @@ import numpy as np
 
 from . import checks as checks_mod
 from .errors import ConfigError, QuasimeasureError
-from .fields import ScalarField, add, build_plateau, field_to_csv, scale, truncate
+from .fields import add, build_plateau, field_to_csv, scale, truncate
 from .grid import Frame
 from .integration import QuasiIntegral, distribution_function
-from .measures import AtomicMeasure, DensityMeasure, PointCountMeasure, TopologicalMeasure
+from .measures import AtomicMeasure, DensityMeasure, PointCountMeasure
 from .reconstruct import BumpSchedule, mu_rho_compact, mu_rho_open
 from .regions import (COMPACT, OPEN, Region, empty_region, frame_interior, point_cells,
                       rect_region)
@@ -64,6 +65,12 @@ def _expect(obj, kind: type, path: str):
     return obj
 
 
+def _call(fn, kwargs: dict, **context):
+    """fn(**kwargs), plus each context argument that fn's signature takes."""
+    params = inspect.signature(fn).parameters
+    return fn(**kwargs, **{k: v for k, v in context.items() if k in params})
+
+
 # -- parsers of scenario values: (scenario, value, path) -> argument -------
 
 
@@ -102,10 +109,22 @@ def _points(scenario, value, path: str) -> tuple[tuple[float, ...], ...]:
     return tuple(_floats(scenario, pair, f"{path}[{j}]") for j, pair in enumerate(pairs))
 
 
-def _variant(scenario, value, path: str) -> str:
-    if value not in ("A", "B"):
-        _fail(path, f"variant must be 'A' or 'B', got {value!r}")
-    return value
+def _bounds(scenario, value, path: str) -> tuple[float, ...]:
+    if not (isinstance(value, list) and len(value) == 4):
+        _fail(path, f"expected bounds [x0, x1, y0, y1], got {value!r}")
+    return _floats(scenario, value, path)
+
+
+def _one_of(*options: str):
+    def parse(scenario, value, path: str) -> str:
+        if value not in options:
+            _fail(path, f"expected {' or '.join(map(repr, options))}, got {value!r}")
+        return value
+
+    return parse
+
+
+_variant, _role = _one_of("A", "B"), _one_of(OPEN, COMPACT)
 
 
 def _schedule(scenario, value, path: str) -> BumpSchedule:
@@ -114,17 +133,13 @@ def _schedule(scenario, value, path: str) -> BumpSchedule:
         return BumpSchedule(max_steps=max_steps)
 
 
-def _ref(table: str):
-    """Parser of a name defined under $.<table>, resolved to its object."""
-    kind = table[:-1]
+def _ref(section: str):
+    """Parser of a name defined under $.<section>, resolved to its object."""
 
     def parse(scenario, value, path: str):
         if not isinstance(value, str):
-            _fail(path, f"expected a {kind} name, got {value!r}")
-        defined = getattr(scenario, table)
-        if value not in defined:
-            _fail(path, f"undefined {kind} {value!r}")
-        return defined[value]
+            _fail(path, f"expected a {section[:-1]} name, got {value!r}")
+        return scenario._resolve(section, value, path)
 
     return parse
 
@@ -138,19 +153,116 @@ def _catalog(scenario, value, path: str) -> dict[str, Region]:
             for j, name in enumerate(_expect(value, list, path))}
 
 
-# scenario key of a check -> (parameter of the check function, parser)
+def _summands(scenario, value, path: str) -> list:
+    if not (isinstance(value, list) and len(value) >= 2):
+        _fail(path, f"expected a list of at least two field names, got {value!r}")
+    return [_field(scenario, name, f"{path}[{j}]") for j, name in enumerate(value)]
+
+
+def _region_or_rect(role: str):
+    """Parser of a region name, or of the bounds of a rect of this role."""
+
+    def parse(scenario, value, path: str) -> Region:
+        if isinstance(value, str):
+            return _region(scenario, value, path)
+        bounds = _bounds(scenario, value, path)
+        with _built_at(path):
+            return _rect(scenario.frame, bounds, role)
+
+    return parse
+
+
+# -- constructors of the objects whose scenario keys differ from the
+# library's arguments. An artifact's constructor returns the writer of its CSV
+# file. A function that perfbench's tracer wraps is called by its
+# module-global name, where the wrapper replaces it.
+
+
+def _rect(frame: Frame, bounds, role: str = COMPACT) -> Region:
+    return rect_region(frame, *bounds, role=role)
+
+
+def _interior(frame: Frame, margin: int = 1, role: str = OPEN) -> Region:
+    if role != OPEN:
+        raise ValueError(f"an interior region is open, got role {role!r}")
+    return frame_interior(frame, margin)
+
+
+def _empty(frame: Frame, role: str = COMPACT) -> Region:
+    return empty_region(frame, role)
+
+
+def _plateau(outer: Region, height: float, ramp_width: float, inner: Region | None = None):
+    return build_plateau(inner, outer, height, ramp_width)
+
+
+def _sum(of: list):
+    return functools.reduce(add, of)
+
+
+# bound by distribution_function's signature, so an absent variant takes its default
+@functools.wraps(distribution_function)
+def _distribution(*args, **kwargs):
+    return distribution_function(*args, **kwargs).to_csv
+
+
+def _trace(mu, region: Region):
+    """mu(region) reconstructed from inside an open region, onto a compact one."""
+    estimator = mu_rho_open if region.role == OPEN else mu_rho_compact
+    return estimator(QuasiIntegral(mu), region).trace_to_csv
+
+
+def _field_csv(f):
+    return functools.partial(field_to_csv, f)
+
+
+# scenario key -> (argument of the function it is passed to, parser)
 _KEYS = {
     "measure": ("mu", _measure), "field": ("f", _field), "regions": ("catalog", _catalog),
+    "region": ("region", _region),
     "b": ("b", _float), "heights": ("heights", _floats), "coeffs": ("coeffs", _floats),
     "ns": ("ns", _floats), "trials": ("trials", _int), "tol": ("tol", _float),
     "rt_tol": ("rt_tol", _float), "max_steps": ("schedule", _schedule),
     "variant": ("variant", _variant),
+    "density": ("density", _float), "unbounded": ("unbounded", _bool),
+    "points": ("points", _points), "value_by_count": ("value_by_count", _floats),
+    "weights": ("weights", _floats),
+    "bounds": ("bounds", _bounds), "role": ("role", _role), "margin": ("margin", _int),
+    "inner": ("inner", _region_or_rect(COMPACT)), "outer": ("outer", _region_or_rect(OPEN)),
+    "height": ("height", _float), "ramp": ("ramp_width", _float),
+    "of": ("of", _summands), "factor": ("a", _float), "delta": ("delta", _float),
 }
 
-# check name -> (check function, the scenario keys it accepts). Absent keys
-# are not passed, so every default lives in the check's signature, and a key
-# is required exactly when its parameter has no default. seed and frame are
-# supplied when the check runs, to the checks that take them.
+# section -> kind -> (constructor, the scenario keys it accepts). The frame is
+# supplied to the constructors that take it.
+_KINDS = {
+    "measures": {
+        "density": (DensityMeasure, ("density", "unbounded")),
+        "point_count": (PointCountMeasure, ("points", "value_by_count")),
+        "atomic": (AtomicMeasure, ("points", "weights")),
+    },
+    "regions": {
+        "rect": (_rect, ("bounds", "role")),
+        "interior": (_interior, ("margin", "role")),
+        "empty": (_empty, ("role",)),
+    },
+    "fields": {
+        "plateau": (_plateau, ("inner", "outer", "height", "ramp")),
+        "sum": (_sum, ("of",)),
+        "scale": (scale, ("field", "factor")),
+        "truncate": (truncate, ("field", "delta")),
+    },
+    # artifact list -> (constructor, keys); $.artifacts.fields lists bare names
+    "artifacts": {
+        "distributions": (_distribution, ("measure", "field", "variant")),
+        "reconstruction_traces": (_trace, ("measure", "region")),
+    },
+}
+_CSV_NAMES = {"distributions": "distribution_{measure}_{field}.csv",
+              "reconstruction_traces": "reconstruction_{measure}_{region}.csv"}
+
+# check name -> (check function, the scenario keys it accepts). seed and frame
+# are supplied when the check runs, to the checks that take them.
 _CHECKS = {
     "nonlinearity_example": (checks_mod.check_nonlinearity_example,
                              ("b", "heights", "tol")),
@@ -181,11 +293,16 @@ class Scenario:
     def __init__(self, data: dict, resolution: int | None = None):
         _require_keys(data, _TOP_KEYS, {"frame", "checks"}, "$")
         self.name = data.get("name", "scenario")
+        if not isinstance(self.name, str):
+            _fail("$.name", f"expected a string, got {self.name!r}")
         self.seed = _int(self, data.get("seed", 0), "$.seed")
         self.frame = self._parse_frame(data["frame"], resolution)
-        self.measures = self._parse_measures(data.get("measures", {}))
-        self.regions = self._parse_regions(data.get("regions", {}))
-        self.fields = self._parse_fields(data.get("fields", {}))
+        self._specs = {}
+        for section in ("measures", "regions", "fields"):
+            self._specs[section] = _expect(data.get(section, {}), dict, f"$.{section}")
+            setattr(self, section, {})
+            for name in self._specs[section]:
+                self._resolve(section, name, f"$.{section}.{name}")
         self.checks = self._parse_checks(data["checks"])
         self.artifacts = self._parse_artifacts(data.get("artifacts", {}))
 
@@ -201,170 +318,66 @@ class Scenario:
         with _built_at("$.frame"):
             return Frame(x_min, x_max, y_min, y_max, nx, ny)
 
-    def _parse_measures(self, obj):
-        measures: dict[str, TopologicalMeasure] = {}
-        for name, spec in _expect(obj, dict, "$.measures").items():
-            path = f"$.measures.{name}"
-            kind = spec.get("kind") if isinstance(spec, dict) else None
-            if kind == "density":
-                _require_keys(spec, {"kind", "density", "unbounded"}, set(), path)
-                density = _float(self, spec.get("density", 1.0), f"{path}.density")
-                unbounded = _bool(self, spec.get("unbounded", False), f"{path}.unbounded")
-                with _built_at(path):
-                    measures[name] = DensityMeasure(density, unbounded)
-            elif kind in ("point_count", "atomic"):
-                cls, key = ((PointCountMeasure, "value_by_count") if kind == "point_count"
-                            else (AtomicMeasure, "weights"))
-                _require_keys(spec, {"kind", "points", key}, {"points", key}, path)
-                points = _points(self, spec["points"], f"{path}.points")
-                values = _floats(self, spec[key], f"{path}.{key}")
-                with _built_at(path):
-                    measures[name] = cls(points, values)
+    def _resolve(self, section: str, name: str, path: str):
+        """The object `name` of $.<section>, built when first referenced."""
+        built = getattr(self, section)
+        if name not in built:
+            if name not in self._specs[section]:
+                _fail(path, f"undefined {section[:-1]} {name!r}")
+            built[name] = None  # under construction
+            at = f"$.{section}.{name}"
+            _, fn, kwargs = self._bind(self._specs[section][name], at, "kind", _KINDS[section])
+            with _built_at(at):
+                built[name] = _call(fn, kwargs, frame=self.frame)
+                if isinstance(built[name], (PointCountMeasure, AtomicMeasure)):
                     # a marked point on a gridline is rejected here, once
-                    point_cells(self.frame, measures[name].points)
-            else:
-                _fail(path, f"unknown measure kind {kind!r}")
-        return measures
+                    point_cells(self.frame, built[name].points)
+        elif built[name] is None:
+            _fail(path, f"unresolved {section[:-1]} reference {name!r}: it depends on itself")
+        return built[name]
 
-    def _parse_regions(self, obj):
-        regions: dict[str, Region] = {}
-        for name, spec in _expect(obj, dict, "$.regions").items():
-            path = f"$.regions.{name}"
-            _require_keys(spec, {"kind", "bounds", "role", "margin"}, {"kind"}, path)
-            kind = spec["kind"]
-            role = spec.get("role", COMPACT)
-            if role not in (OPEN, COMPACT):
-                _fail(path, f"role must be 'open' or 'compact', got {role!r}")
-            if kind == "rect":
-                bounds = spec.get("bounds")
-                if not (isinstance(bounds, list) and len(bounds) == 4):
-                    _fail(path, "rect needs bounds [x0, x1, y0, y1]")
-                bounds = _floats(self, bounds, f"{path}.bounds")
-                with _built_at(path):
-                    regions[name] = rect_region(self.frame, *bounds, role=role)
-            elif kind == "interior":
-                margin = _int(self, spec.get("margin", 1), f"{path}.margin")
-                with _built_at(path):
-                    regions[name] = frame_interior(self.frame, margin)
-            elif kind == "empty":
-                regions[name] = empty_region(self.frame, role)
-            else:
-                _fail(path, f"unknown region kind {kind!r}")
-        return regions
+    def _bind(self, spec, path: str, tag: str, table: dict):
+        """(entry, function, arguments) of a spec that names its entry of
+        `table` under the key `tag`."""
+        entry = spec.get(tag) if isinstance(spec, dict) else None
+        if not isinstance(entry, str):
+            _fail(path, f"expected an object with a {tag!r} name")
+        if entry not in table:
+            _fail(path, f"unknown {tag} {entry!r}")
+        fn, keys = table[entry]
+        return entry, fn, self._arguments(spec, path, fn, keys, tag)
 
-    def _region_ref(self, ref, path: str, role: str) -> Region:
-        if isinstance(ref, str):
-            return _region(self, ref, path)
-        if isinstance(ref, list) and len(ref) == 4:
-            bounds = _floats(self, ref, path)
-            with _built_at(path):
-                return rect_region(self.frame, *bounds, role=role)
-        _fail(path, "expected a region name or bounds [x0, x1, y0, y1]")
-
-    def _parse_fields(self, obj):
-        fields: dict[str, ScalarField] = {}
-        declared = set(_expect(obj, dict, "$.fields"))
-        # fixpoint: constructors first, then combinators referencing them
-        pending = dict(obj)
-        progress = True
-        while pending and progress:
-            progress = False
-            for name in list(pending):
-                built = self._try_build_field(pending[name], fields, declared,
-                                              f"$.fields.{name}")
-                if built is not None:
-                    fields[name] = built
-                    del pending[name]
-                    progress = True
-        if pending:
-            _fail(f"$.fields.{sorted(pending)[0]}",
-                  "unresolved field reference (missing or cyclic)")
-        return fields
-
-    def _try_build_field(self, spec, fields, declared, path) -> ScalarField | None:
-        def built(ref, at: str) -> bool:
-            if not isinstance(ref, str) or ref not in declared:
-                _fail(at, f"undefined field {ref!r}")
-            return ref in fields
-
-        if not isinstance(spec, dict) or "kind" not in spec:
-            _fail(path, "field spec needs a 'kind'")
-        kind = spec["kind"]
-        if kind == "plateau":
-            _require_keys(spec, {"kind", "inner", "outer", "height", "ramp"},
-                          {"outer", "height", "ramp"}, path)
-            inner = (self._region_ref(spec["inner"], f"{path}.inner", COMPACT)
-                     if "inner" in spec else None)
-            outer = self._region_ref(spec["outer"], f"{path}.outer", OPEN)
-            height = _float(self, spec["height"], f"{path}.height")
-            ramp = _float(self, spec["ramp"], f"{path}.ramp")
-            with _built_at(path):
-                return build_plateau(inner, outer, height, ramp)
-        if kind == "sum":
-            _require_keys(spec, {"kind", "of"}, {"of"}, path)
-            parts = spec["of"]
-            if not (isinstance(parts, list) and len(parts) >= 2):
-                _fail(path, "sum needs a list of at least two field names")
-            if not all(built(p, f"{path}.of[{j}]") for j, p in enumerate(parts)):
-                return None
-            out = fields[parts[0]]
-            for p in parts[1:]:
-                out = add(out, fields[p])
-            return out
-        if kind in ("scale", "truncate"):
-            key = "factor" if kind == "scale" else "delta"
-            _require_keys(spec, {"kind", "field", key}, {"field", key}, path)
-            ref = spec["field"]
-            value = _float(self, spec[key], f"{path}.{key}")
-            if not built(ref, f"{path}.field"):
-                return None
-            with _built_at(path):
-                if kind == "scale":
-                    return scale(fields[ref], value)
-                return truncate(fields[ref], value)
-        _fail(path, f"unknown field kind {kind!r}")
+    def _arguments(self, spec, path: str, fn, keys, *tag) -> dict:
+        """fn's arguments from the scenario keys of spec. Absent keys are not
+        passed, so every default lives in fn's signature, and a key is
+        required exactly when its argument has no default."""
+        params = inspect.signature(fn).parameters
+        required = {key for key in keys
+                    if params[_KEYS[key][0]].default is inspect.Parameter.empty}
+        _require_keys(spec, {*tag, *keys}, {*tag, *required}, path)
+        return {_KEYS[key][0]: _KEYS[key][1](self, value, f"{path}.{key}")
+                for key, value in spec.items() if key not in tag}
 
     def _parse_checks(self, obj):
         """Bind every check's arguments; seed and frame are added at run time."""
         if not isinstance(obj, list) or not obj:
             _fail("$.checks", "expected a non-empty list")
-        out = []
-        for i, spec in enumerate(obj):
-            path = f"$.checks[{i}]"
-            name = spec.get("check") if isinstance(spec, dict) else None
-            if not isinstance(name, str):
-                _fail(path, "check spec needs a 'check' name")
-            if name not in _CHECKS:
-                _fail(path, f"unknown check {name!r}")
-            fn, keys = _CHECKS[name]
-            params = inspect.signature(fn).parameters
-            required = {key for key in keys
-                        if params[_KEYS[key][0]].default is inspect.Parameter.empty}
-            _require_keys(spec, {"check", *keys}, {"check", *required}, path)
-            kwargs = {}
-            for key, value in spec.items():
-                if key != "check":
-                    param, parse = _KEYS[key]
-                    kwargs[param] = parse(self, value, f"{path}.{key}")
-            out.append((name, kwargs))
-        return out
+        return [self._bind(spec, f"$.checks[{i}]", "check", _CHECKS)
+                for i, spec in enumerate(obj)]
 
     def _parse_artifacts(self, art):
-        _require_keys(art, {"distributions", "fields", "reconstruction_traces"},
-                      set(), "$.artifacts")
-        for i, fname in enumerate(_expect(art.get("fields", []), list, "$.artifacts.fields")):
-            _field(self, fname, f"$.artifacts.fields[{i}]")
-        for key, parsers, required in (
-                ("distributions", {"measure": _measure, "field": _field, "variant": _variant},
-                 {"measure", "field"}),
-                ("reconstruction_traces", {"measure": _measure, "region": _region},
-                 {"measure", "region"})):
-            for i, d in enumerate(_expect(art.get(key, []), list, f"$.artifacts.{key}")):
+        """Bind every artifact as (JSON path, CSV file name, constructor, arguments)."""
+        _require_keys(art, {"fields", *_KINDS["artifacts"]}, set(), "$.artifacts")
+        bound = []
+        for key, (fn, keys) in _KINDS["artifacts"].items():
+            for i, spec in enumerate(_expect(art.get(key, []), list, f"$.artifacts.{key}")):
                 path = f"$.artifacts.{key}[{i}]"
-                _require_keys(d, set(parsers), required, path)
-                for k, v in d.items():
-                    parsers[k](self, v, f"{path}.{k}")
-        return art
+                kwargs = self._arguments(spec, path, fn, keys)
+                bound.append((path, _CSV_NAMES[key].format(**spec), fn, kwargs))
+        for i, name in enumerate(_expect(art.get("fields", []), list, "$.artifacts.fields")):
+            path = f"$.artifacts.fields[{i}]"
+            bound.append((path, f"field_{name}.csv", _field_csv, {"f": _field(self, name, path)}))
+        return bound
 
 
 def load_scenario(path, resolution: int | None = None) -> Scenario:
@@ -396,30 +409,17 @@ def _child_seed(master: int, label: str) -> int:
 def _check_labels(checks) -> list[str]:
     seen: dict[str, int] = {}
     labels = []
-    for name, _ in checks:
+    for name, *_ in checks:
         seen[name] = seen.get(name, 0) + 1
         labels.append(name if seen[name] == 1 else f"{name}_{seen[name]}")
     return labels
 
 
 def _write_artifacts(scenario: Scenario, out_dir: Path):
-    art = scenario.artifacts
-    for i, d in enumerate(art.get("distributions", [])):
-        mu = scenario.measures[d["measure"]]
-        field = scenario.fields[d["field"]]
-        with _built_at(f"$.artifacts.distributions[{i}]"):
-            F = distribution_function(mu, field, d.get("variant", "B"))
-        F.to_csv(out_dir / f"distribution_{d['measure']}_{d['field']}.csv")
-    for fname in art.get("fields", []):
-        field_to_csv(scenario.fields[fname], out_dir / f"field_{fname}.csv")
-    for i, d in enumerate(art.get("reconstruction_traces", [])):
-        mu = scenario.measures[d["measure"]]
-        region = scenario.regions[d["region"]]
-        rho = QuasiIntegral(mu)
-        estimator = mu_rho_open if region.role == OPEN else mu_rho_compact
-        with _built_at(f"$.artifacts.reconstruction_traces[{i}]"):
-            report = estimator(rho, region)
-        report.trace_to_csv(out_dir / f"reconstruction_{d['measure']}_{d['region']}.csv")
+    for path, csv, fn, kwargs in scenario.artifacts:
+        with _built_at(path):
+            write = fn(**kwargs)
+        write(out_dir / csv)
 
 
 def execute_scenario(scenario: Scenario, out_dir=None) -> dict:
@@ -431,13 +431,10 @@ def execute_scenario(scenario: Scenario, out_dir=None) -> dict:
     """
     labels = _check_labels(scenario.checks)
     reports = []
-    for i, ((name, kwargs), label) in enumerate(zip(scenario.checks, labels)):
-        fn = _CHECKS[name][0]
-        context = {"seed": _child_seed(scenario.seed, label), "frame": scenario.frame}
-        params = inspect.signature(fn).parameters
+    for i, ((_, fn, kwargs), label) in enumerate(zip(scenario.checks, labels)):
         with _built_at(f"$.checks[{i}]"):
-            reports.append(fn(**kwargs, **{k: v for k, v in context.items()
-                                           if k in params}))
+            reports.append(_call(fn, kwargs, seed=_child_seed(scenario.seed, label),
+                                 frame=scenario.frame))
 
     by_label = dict(sorted(zip(labels, reports), key=lambda kv: kv[0]))
     import quasimeasure

@@ -488,11 +488,15 @@ def _gate_fields(kind, n):
     return fields + [scale(f, -1.0) for f in fields] + [_both_zeros(f) for f in fields]
 
 
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
 def _same_distribution(F, G):
-    assert F.breakpoints == G.breakpoints
-    # repr tells -0.0 from 0.0, as the CSV of F does
-    assert repr(F.breakpoints) == repr(G.breakpoints)
-    assert F.left_limit == G.left_limit
+    # bit for bit: the uint64 views tell -0.0 from 0.0, as the CSV of F does
+    assert np.array_equal(_bits(F.thresholds), _bits(G.thresholds))
+    assert np.array_equal(_bits(F.values), _bits(G.values))
+    assert _bits(F.left_limit) == _bits(G.left_limit)
 
 
 class TestAnchoredBisection:
@@ -545,7 +549,7 @@ class TestAnchoredBisection:
 @pytest.mark.parametrize("kind,n", [("golden", 512), ("sums", 128)])
 def test_mass_shortcuts_label_less(crossing, monkeypatch, kind, n):
     """The mass kernel skips labellings no marked point can affect: the same
-    F, by `repr`, from the same probes as the kernel that labels every
+    F, bit for bit, from the same probes as the kernel that labels every
     component and hole, with no more `label` calls on any integral."""
     calls = count_label_calls(monkeypatch)
 
@@ -678,10 +682,11 @@ def _gate_measures(n):
 
 
 @pytest.mark.parametrize("kind,n", [
-    ("sums", 64), ("sums", 128), ("golden", 64), ("golden", 333), ("golden", 512),
+    ("sums", 64), ("sums", 128), ("sums", 256), ("golden", 64), ("golden", 333),
+    ("golden", 512),
 ])
 def test_layer_cake_equals_full_frame(kind, n):
-    """Reading the cells on the support box gives the full-frame F, by `repr`."""
+    """Reading the cells on the support box gives the full-frame F bit for bit."""
     fields = _gate_fields(kind, n)
     for name, mu in _gate_measures(n).items():
         for f in fields:

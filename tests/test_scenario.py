@@ -9,6 +9,7 @@ from quasimeasure import ConfigError
 from quasimeasure.cli import main
 from quasimeasure.scenario import (
     _CHECKS,
+    _KINDS,
     Scenario,
     bundled_scenario_path,
     execute_scenario,
@@ -132,6 +133,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unresolved"):
             Scenario(data)
 
+    def test_two_field_cycle(self):
+        data = small_scenario_dict()
+        data["fields"]["a"] = {"kind": "scale", "field": "b", "factor": 2.0}
+        data["fields"]["b"] = {"kind": "sum", "of": ["f", "a"]}
+        with pytest.raises(ConfigError, match=r"\$\.fields\.b\.of\[1\]: unresolved"):
+            Scenario(data)
+
+    @pytest.mark.parametrize("spec, where", [
+        ({"kind": "sum", "of": ["f", "ghost"]}, "of[1]"),
+        ({"kind": "truncate", "field": "ghost", "delta": 0.5}, "field"),
+    ])
+    def test_missing_field_reference_names_its_key(self, spec, where):
+        data = small_scenario_dict()
+        data["fields"]["x"] = spec
+        with pytest.raises(ConfigError) as exc:
+            Scenario(data)
+        assert str(exc.value).startswith(f"$.fields.x.{where}: undefined field 'ghost'")
+
     def test_bad_json_file(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
@@ -167,6 +186,16 @@ class TestFieldBuilders:
 
         assert sup_norm(s.fields["both"]) == 3.0
         assert sup_norm(s.fields["low"]) == 0.5
+
+    def test_field_defined_after_its_use(self):
+        data = small_scenario_dict()
+        data["fields"] = {"both": {"kind": "sum", "of": ["f", "double"]},
+                          **data["fields"],
+                          "double": {"kind": "scale", "field": "f", "factor": 2.0}}
+        s = Scenario(data)
+        from quasimeasure import sup_norm
+
+        assert sup_norm(s.fields["both"]) == 3.0
 
 
 class TestCli:
@@ -278,6 +307,8 @@ class TestCli:
         ("measure_baseline", {("frame", "x_max"): math.inf}, [], "$.frame.x_max"),
         # and integers of any size: this one has no float
         ("measure_baseline", {("checks", 6, "tol"): 10 ** 400}, [], "$.checks[6].tol"),
+        # the name is copied into report.json
+        ("measure_baseline", {("name",): {"a": 1}}, [], "$.name"),
     ])
     def test_malformed_scenario_exits_2_before_any_report(self, tmp_path, capsys, name,
                                                           edits, args, where):
@@ -309,6 +340,41 @@ class TestCli:
         r1.pop("timing")
         r2.pop("timing")
         assert r1 == r2 and r1["seed"] == 7
+
+
+# a valid value of every key that a measure, region, field or artifact takes,
+# naming small_scenario_dict's objects
+_SAMPLE = {
+    "density": 1.0, "unbounded": False, "points": [[2.31, 6.43]], "value_by_count": [0, 1],
+    "weights": [1.0], "bounds": [2, 6, 2, 6], "role": "open", "margin": 1,
+    "inner": "K", "outer": "U", "height": 1.0, "ramp": 0.25, "of": ["f", "f"],
+    "field": "f", "factor": 2.0, "delta": 0.5,
+    "measure": "crossing", "variant": "B", "region": "K",
+}
+# (section, kind, key, value): each key that another kind of the section takes,
+# on a kind that does not take it; and an interior region asked to be compact
+_FOREIGN_KEYS = [
+    (section, kind, key, _SAMPLE[key])
+    for section, kinds in _KINDS.items() for kind, (_, keys) in kinds.items()
+    for key in sorted({k for _, ks in kinds.values() for k in ks} - set(keys))
+] + [("regions", "interior", "role", "compact")]
+
+
+@pytest.mark.parametrize("section, kind, key, value", _FOREIGN_KEYS)
+def test_key_a_kind_does_not_take_exits_2(tmp_path, capsys, section, kind, key, value):
+    data = small_scenario_dict()
+    spec = {k: _SAMPLE[k] for k in _KINDS[section][kind][1]}
+    if section == "artifacts":
+        data["artifacts"], where = {kind: [spec]}, f"$.artifacts.{kind}[0]"
+    else:
+        spec["kind"] = kind
+        data[section]["x"], where = spec, f"$.{section}.x"
+    Scenario(copy.deepcopy(data))
+    spec[key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["run", str(p)]) == 2
+    assert f"{where}: " in capsys.readouterr().err
 
 
 def _set_leaf(data, keys, value):
