@@ -308,7 +308,7 @@ def check_nonlinearity_example(b: float = 1.0, frame: Frame | None = None,
     is exactly b/2: the functional is not linear.
     """
     all_heights = [b] if heights is None else list(heights)
-    if not all_heights or not all(h > 0 for h in (b, *all_heights)):
+    if not all_heights or not all(h > 0 for h in all_heights):
         raise GeometryError("every height must be positive, and heights non-empty")
     frame = frame or standard_frame()
     if (frame.x_min, frame.x_max, frame.y_min, frame.y_max) != (0.0, 10.0, 0.0, 10.0):

@@ -277,12 +277,9 @@ def sup_distance(f: ScalarField, g: ScalarField) -> float:
     return float(np.abs(f.values - g.values).max())
 
 
-def support_region(f: ScalarField, eps: float = 0.0) -> Region:
-    """Cells where |f| > eps, dilated by one cell: a compact support superset."""
-    if eps < 0:
-        raise DomainError("eps must be >= 0")
-    mask = np.abs(f.values) > eps
-    core = Region(f.frame, mask, COMPACT)
+def support_region(f: ScalarField) -> Region:
+    """Cells where f != 0, dilated by one cell: a compact support superset."""
+    core = Region(f.frame, f.values != 0.0, COMPACT)
     if core.is_empty:
         return core
     # a field vanishes on the edge ring, so the core never touches it and

@@ -74,19 +74,6 @@ class Frame:
     def contains_point(self, x: float, y: float) -> bool:
         return self.x_min < x < self.x_max and self.y_min < y < self.y_max
 
-    def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        """(row, col) of the cell containing (x, y); point must be inside the frame."""
-        col = int(np.floor((x - self.x_min) / self.dx))
-        row = int(np.floor((y - self.y_min) / self.dy))
-        return row, col
-
-    def boundary_mask(self) -> np.ndarray:
-        """Cells of the outermost ring."""
-        m = np.zeros(self.shape, dtype=bool)
-        m[0, :] = m[-1, :] = True
-        m[:, 0] = m[:, -1] = True
-        return m
-
 
 def edge_cells(a: np.ndarray) -> np.ndarray:
     """Entries of the outermost ring of a 2-D array, each corner once."""

@@ -13,20 +13,19 @@ Riemann-Stieltjes integral of the identity against the measure F induces:
 On a raster F is an exact step function: it can only jump where t crosses a
 sampled value. Each family of measure builds it exactly, in one way:
 
-* an additive measure (density or atomic) hands out its atoms of mass, and F
-  is their layer-cake sum: the weight at each distinct value, then a
-  cumulative sum. A zero-valued atom's weight is never used, so a density,
-  whose atoms are the cells, is read on the box of {f != 0} alone;
+* an additive measure (density or atomic) hands out its atoms of mass as a
+  raster, and F is their layer-cake sum: the weight at each distinct value,
+  then a cumulative sum. A zero-valued atom's weight is never used, so the
+  raster is read on the box of {f != 0} alone;
 * a point-count measure is not additive, so its jumps are located by
   monotone bisection over the gaps between distinct sampled values, one
   mass evaluation per probe. A bracket splits at a marked point's level
   when one lies inside it, since a point leaves {f > t} exactly there, and
   every probe is a mask of the field cropped to the box of {f != 0}.
 
-The density and point-count paths sort only that box for the field's
-distinct values, and find the sign of its zero level, which np.unique of
-the whole frame would give, from the frame's bits. Either way the integral
-carries no quadrature error.
+Both paths sort only that box for the raster's distinct values, and find
+the sign of its zero level, which np.unique of the whole raster would give,
+from the raster's bits. Either way the integral carries no quadrature error.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ import numpy as np
 
 from .errors import DomainError, InfiniteMeasureError, VariantError
 from .fields import ScalarField
-from .measures import ATOMIC, DENSITY, PointCountMeasure, TopologicalMeasure
-from .regions import _bbox, point_cells
+from .measures import PointCountMeasure, TopologicalMeasure
+from .regions import _bbox
 
 VARIANT_A = "A"
 VARIANT_B = "B"
@@ -50,13 +49,13 @@ class DistributionFn:
     """Right-continuous non-increasing step function.
 
     F(t) = values[i] on [thresholds[i], thresholds[i+1]), values[-1] on the
-    final ray, and left_limit below thresholds[0]. The last value is 0: F
-    vanishes beyond the sup norm of the field.
+    final ray, and left_limit below thresholds[0]. F starts at its first
+    breakpoint, the field's minimum, and its last value is 0: F vanishes
+    beyond the sup norm of the field.
     """
 
     thresholds: np.ndarray
     values: np.ndarray
-    domain: tuple[float, float]
     left_limit: float
 
     def __post_init__(self):
@@ -73,10 +72,6 @@ class DistributionFn:
             raise ValueError("distribution function must be non-negative")
         if v[-1] != 0.0:
             raise ValueError("distribution function must vanish beyond the range")
-        # F may reach 0 before the top of the range, so the last breakpoint
-        # only needs to stay inside the domain.
-        if not (self.domain[0] == t[0] and t[-1] <= self.domain[1]):
-            raise ValueError("breakpoints must start at the domain and stay inside it")
         t.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "thresholds", t)
@@ -101,7 +96,7 @@ class DistributionFn:
         return self.left_limit if i < 0 else float(self.values[i])
 
     def integral(self) -> float:
-        """Exact integral of the step representation over the domain."""
+        """Exact integral of the step representation from its first breakpoint."""
         if len(self.thresholds) < 2:
             return 0.0
         return float(np.sum(self.values[:-1] * np.diff(self.thresholds)))
@@ -139,18 +134,19 @@ def _support_levels(values: np.ndarray, counts: bool = False):
     """The box of {values != 0}, and np.unique(values) bit for bit from the box.
 
     Every non-zero value lies in the box, and equal non-zero floats have
-    equal bits, so the box's distinct values are the frame's but for zero.
+    equal bits, so the box's distinct values are the raster's but for zero.
     np.unique keeps whichever zero its sort puts first, which is the one
-    sign when the frame holds zeros of one sign. The bits of +0.0 are the
+    sign when the raster holds zeros of one sign. The bits of +0.0 are the
     least uint64 and those of -0.0 the least int64, so two minima tell which
-    zeros the frame holds. A frame holding both goes to np.unique whole.
-    With `counts`, each level's count of cells comes too, from
+    zeros the raster holds; their initial values make an empty raster hold
+    neither. A raster holding both goes to np.unique whole. With `counts`,
+    each level's count of cells comes too, from
     np.unique(..., return_counts=True); a zero level's count is not the
-    frame's.
+    raster's.
     """
     box = _bbox(values != 0.0) or (slice(0, 0), slice(0, 0))  # bools scan faster than floats
-    plus = values.view(np.uint64).min() == 0
-    minus = values.view(np.int64).min() == -2**63
+    plus = values.view(np.uint64).min(initial=1) == 0
+    minus = values.view(np.int64).min(initial=0) == -2**63
     found = np.unique(values if plus and minus else values[box], return_counts=counts)
     levels, n = found if counts else (found, None)
     if plus != minus:
@@ -267,7 +263,6 @@ def _bisection(mu: PointCountMeasure, f: ScalarField, variant: str,
     F = DistributionFn(
         thresholds=np.array([levels[0]] + [t for t, _ in jumps]),
         values=np.array([ev.segment_value(0)] + [v for _, v in jumps]),
-        domain=(float(levels[0]), float(levels[-1])),
         left_limit=ev.segment_value(-1),
     )
     return F, ev.evals
@@ -277,9 +272,9 @@ def _layer_cake(f: ScalarField, variant: str, total: float,
                 values: np.ndarray, weights, scale: float) -> DistributionFn:
     """F of an additive measure: cumulative sums of its atoms' masses.
 
-    A density's atoms are the cells, read on the support box of f alone: a
+    The atoms come as a raster, read on its box of non-zero values alone: a
     zero-valued atom's mass is never used, and each non-zero level gathers
-    the same cells there, in the same raster order, as over the whole frame.
+    the same atoms there, in the same raster order, as over the whole raster.
     """
     if np.ndim(weights) == 0:
         unit = weights * scale
@@ -290,16 +285,10 @@ def _layer_cake(f: ScalarField, variant: str, total: float,
         unit = weights.flat[0] * scale
     else:
         unit = None
-    if values.ndim == 2:
-        box, levels, mass = _support_levels(values, counts=unit is not None)
-        values = values[box]
-        if unit is None:
-            weights = weights[box]
-    elif unit is None:
-        levels = np.unique(values)
-    else:
-        levels, mass = np.unique(values, return_counts=True)
+    box, levels, mass = _support_levels(values, counts=unit is not None)
+    values = values[box]
     if unit is None:
+        weights = weights[box]
         # searchsorted gives np.unique's inverse without a second sort. On the
         # support boxes of 512² fields (one 2-vCPU Xeon core) it takes 1.1 ms
         # for crossed plateaus (45 levels), 1.6 ms for a pyramid (659) and
@@ -309,7 +298,7 @@ def _layer_cake(f: ScalarField, variant: str, total: float,
                            weights=(weights * scale).ravel(), minlength=len(levels))
         unit = 1.0
     # The breakpoints start at the field's minimum, and F changes form at 0.
-    a, b = float(f.values.min()), float(f.values.max())
+    a = float(f.values.min())
     grid = np.union1d(levels, [a, 0.0])
     at = np.zeros(len(grid), dtype=mass.dtype)  # mass of the atoms at each grid value
     at[np.searchsorted(grid, levels)] = mass
@@ -324,9 +313,7 @@ def _layer_cake(f: ScalarField, variant: str, total: float,
         F[below] = total - np.cumsum(at)[below] * unit
         left_limit = total
     keep = np.flatnonzero(np.r_[True, F[1:] != F[:-1]])
-    return DistributionFn(
-        thresholds=grid[keep], values=F[keep], domain=(a, b), left_limit=left_limit,
-    )
+    return DistributionFn(thresholds=grid[keep], values=F[keep], left_limit=left_limit)
 
 
 def _build_distribution(
@@ -367,24 +354,17 @@ def quasi_integral(
         breakpoint_count=len(F.thresholds),
         refinement_iterations=evals,
     )
-    value = F.integral() + F.domain[0] * F.left_limit
+    value = F.integral() + float(F.thresholds[0]) * F.left_limit
     return QuasiIntegralResult(value=value, distribution=F, diagnostics=diag)
 
 
 def linear_oracle(mu: TopologicalMeasure, f: ScalarField) -> float:
     """Direct integral of f for genuine measures: the linear reference value."""
-    kind = getattr(mu, "kind", None)
-    if kind == DENSITY:
-        grid = mu._density_grid(f.frame)
-        return float(np.sum(f.values * grid)) * f.frame.cell_area
-    if kind == ATOMIC:
-        cells = point_cells(f.frame, mu.points)
-        inside = cells[:, 0] >= 0
-        if not inside.any():
-            return 0.0
-        rows, cols = cells[inside, 0], cells[inside, 1]
-        return float(np.sum(mu.weights[inside] * f.values[rows, cols]))
-    raise VariantError(f"linear oracle is undefined for measure kind {kind!r}")
+    atoms = mu.atoms(f)
+    if atoms is None:
+        raise VariantError(f"linear oracle is undefined for measure kind {mu.kind!r}")
+    values, weights, scale = atoms
+    return float(np.sum(values * weights)) * scale
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,12 @@ class TopologicalMeasure:
     def atoms(self, f: ScalarField) -> tuple[np.ndarray, np.ndarray | float, float] | None:
         """f's value under each in-frame atom of mass, the atoms' weights and a scale.
 
-        Atom i has mass weights[i] * scale; a single float weight applies to
-        every atom. A density's atoms are the cells: its values are f.values
-        itself and its weights one float or a grid of the frame's shape, so
-        the layer cake can read them on the support box of f alone. None for
-        a measure that is not additive.
+        Values and weights are rasters of one shape, and an atom has mass
+        weight * scale; a single float weight applies to every atom. A
+        density's atoms are the cells: its values are f.values itself and its
+        weights one float or a grid of the frame's shape. An atomic measure's
+        raster is one row. The layer cake reads either on the box of its
+        non-zero values alone. None for a measure that is not additive.
         """
         return None
 
@@ -98,6 +99,7 @@ class PointCountMeasure(_MarkedPoints, TopologicalMeasure):
         n = len(pts)
         if table.shape != (n + 1,):
             raise ValueError(f"value_by_count must have length {n + 1}")
+        _require_finite(points=pts, value_by_count=table)
         if table[0] != 0.0:
             raise ValueError("value_by_count[0] must be 0")
         if bool((np.diff(table) < 0).any()):
@@ -177,6 +179,13 @@ class PointCountMeasure(_MarkedPoints, TopologicalMeasure):
         return total
 
 
+def _require_finite(**arrays) -> None:
+    """A NaN or infinite parameter would build a measure whose rho is nan."""
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+
+
 def _in_box(box, rows, cols) -> np.ndarray:
     """Which of the cells (rows, cols) lie in `box`."""
     rs, cs = box
@@ -201,23 +210,21 @@ class DensityMeasure(TopologicalMeasure):
         d = self.density
         if isinstance(d, np.ndarray):
             d = np.ascontiguousarray(np.asarray(d, dtype=float))
-            if bool((d < 0).any()):
-                raise ValueError("density must be non-negative")
             d.setflags(write=False)
-            object.__setattr__(self, "density", d)
         else:
-            if d < 0:
-                raise ValueError("density must be non-negative")
-            object.__setattr__(self, "density", float(d))
+            d = float(d)
+        _require_finite(density=d)
+        if np.any(d < 0):
+            raise ValueError("density must be non-negative")
+        object.__setattr__(self, "density", d)
 
     def _density_grid(self, frame: Frame) -> np.ndarray:
-        if isinstance(self.density, np.ndarray):
-            if self.density.shape != frame.shape:
-                raise ValueError(
-                    f"density grid shape {self.density.shape} != frame shape {frame.shape}"
-                )
-            return self.density
-        return np.full(frame.shape, self.density)
+        """The per-cell density, checked against the frame's shape."""
+        if self.density.shape != frame.shape:
+            raise ValueError(
+                f"density grid shape {self.density.shape} != frame shape {frame.shape}"
+            )
+        return self.density
 
     def total_mass(self, frame: Frame) -> float:
         if self.unbounded:
@@ -257,6 +264,7 @@ class AtomicMeasure(_MarkedPoints, TopologicalMeasure):
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
         if w.shape != (len(pts),):
             raise ValueError("weights must match points")
+        _require_finite(points=pts, weights=w)
         if bool((w < 0).any()):
             raise ValueError("weights must be non-negative")
         pts.setflags(write=False)
@@ -278,8 +286,9 @@ class AtomicMeasure(_MarkedPoints, TopologicalMeasure):
         return float(weights[region.mask[rows, cols]].sum())
 
     def atoms(self, f: ScalarField) -> tuple[np.ndarray, np.ndarray, float]:
+        """The in-frame points as a one-row raster: f's values there, and weights."""
         rows, cols, weights = self._in_frame(f.frame)
-        return f.values[rows, cols], weights, 1.0
+        return f.values[rows, cols][None], weights[None], 1.0
 
 
 def tm_eval(mu: TopologicalMeasure, region: Region) -> float:

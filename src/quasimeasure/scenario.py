@@ -26,8 +26,7 @@ from .grid import Frame
 from .integration import QuasiIntegral, distribution_function
 from .measures import AtomicMeasure, DensityMeasure, PointCountMeasure
 from .reconstruct import BumpSchedule, mu_rho_compact, mu_rho_open
-from .regions import (COMPACT, OPEN, Region, empty_region, frame_interior, point_cells,
-                      rect_region)
+from .regions import COMPACT, OPEN, Region, empty_region, frame_interior, rect_region
 
 _FRAME_KEYS = {"x_min", "x_max", "y_min", "y_max", "nx", "ny"}
 _TOP_KEYS = {"name", "frame", "seed", "measures", "regions", "fields", "checks",
@@ -330,8 +329,9 @@ class Scenario:
             with _built_at(at):
                 built[name] = _call(fn, kwargs, frame=self.frame)
                 if isinstance(built[name], (PointCountMeasure, AtomicMeasure)):
-                    # a marked point on a gridline is rejected here, once
-                    point_cells(self.frame, built[name].points)
+                    # a marked point on a gridline is rejected here, once; the
+                    # cells found are cached for the first integral
+                    built[name].marked_cells(self.frame)
         elif built[name] is None:
             _fail(path, f"unresolved {section[:-1]} reference {name!r}: it depends on itself")
         return built[name]

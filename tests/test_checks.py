@@ -73,6 +73,11 @@ class TestNonlinearityExample:
         with pytest.raises(GeometryError):
             check_nonlinearity_example(**kwargs)
 
+    def test_b_is_unused_when_heights_are_given(self):
+        report = check_nonlinearity_example(b=-1.0, heights=[1.0])
+        assert report.passed
+        assert list(report.details) == ["1.0"]
+
 
 class TestGoldenPairRho:
     """rho on the golden pair's f: the subalgebra, monotone and disjoint-sum

@@ -25,6 +25,8 @@ from quasimeasure import (
     zero_field,
 )
 from quasimeasure.fields import distance_map
+from quasimeasure.grid import edge_cells
+from quasimeasure.regions import point_cells
 from quasimeasure.presets import OUTER_U, RECT_K
 
 
@@ -51,7 +53,7 @@ class TestFrame:
     def test_cell_geometry(self, frame64):
         assert frame64.dx == pytest.approx(10 / 64)
         assert frame64.shape == (64, 64)
-        assert frame64.cell_of(5.37, 5.63) == (36, 34)
+        assert point_cells(frame64, [[5.37, 5.63]]).tolist() == [[36, 34]]
 
 
 class TestScalarField:
@@ -314,7 +316,7 @@ class TestCompose:
         f, _ = golden_pair
         phi = PiecewiseLinearMap(np.array([[-0.5, 1.0], [0.0, 0.0], [1.5, -2.0]]))
         out = compose(phi, f)
-        assert np.all(out.values[frame64.boundary_mask()] == 0.0)
+        assert np.all(edge_cells(out.values) == 0.0)
 
 
 class TestNormsAndSupport:

@@ -29,7 +29,7 @@ from quasimeasure.checks import check_extension_consistency
 from quasimeasure.integration import VARIANT_A, VARIANT_B
 from quasimeasure.measures import ATOMIC
 from quasimeasure.presets import crossing_fields, crossing_sum, standard_frame
-from quasimeasure.regions import COMPACT, OPEN, Region, _bbox
+from quasimeasure.regions import COMPACT, OPEN, Region, _bbox, point_cells
 
 
 @pytest.fixture(scope="module")
@@ -293,18 +293,15 @@ class TestExtensionConsistency:
 class TestDistributionValidation:
     def test_must_be_non_increasing(self):
         with pytest.raises(ValueError):
-            DistributionFn(np.array([0.0, 1.0]), np.array([0.5, 0.0]),
-                           (0.0, 1.0), left_limit=0.25)
+            DistributionFn(np.array([0.0, 1.0]), np.array([0.5, 0.0]), left_limit=0.25)
 
     def test_tail_must_vanish(self):
         with pytest.raises(ValueError):
-            DistributionFn(np.array([0.0, 1.0]), np.array([1.0, 0.5]),
-                           (0.0, 1.0), left_limit=1.0)
+            DistributionFn(np.array([0.0, 1.0]), np.array([1.0, 0.5]), left_limit=1.0)
 
     def test_thresholds_strictly_increasing(self):
         with pytest.raises(ValueError):
-            DistributionFn(np.array([0.0, 0.0]), np.array([1.0, 0.0]),
-                           (0.0, 0.0), left_limit=1.0)
+            DistributionFn(np.array([0.0, 0.0]), np.array([1.0, 0.0]), left_limit=1.0)
 
     def test_csv_roundtrip(self, tmp_path, crossing, golden_sum):
         F = distribution_function(crossing, golden_sum)
@@ -339,7 +336,8 @@ def test_single_atom_oracle(frame64):
     mu = AtomicMeasure(np.array([[5.11, 5.57]]), np.array([1.0]))
     f = scale(truncate(build_plateau(
         None, rect_region(frame64, 3, 8, 3, 8, role="open"), 1.0, 0.4), 0.7), 1.0)
-    assert f.values[frame64.cell_of(5.11, 5.57)] == 0.7
+    ((row, col),) = point_cells(frame64, mu.points)
+    assert f.values[row, col] == 0.7
     assert linear_oracle(mu, f) == 0.7
     assert quasi_integral(mu, f).value == 0.7
 
@@ -445,7 +443,6 @@ def _midpoint_bisection(mu, f, variant: str) -> tuple[DistributionFn, int]:
     F = DistributionFn(
         thresholds=np.array([levels[0]] + [t for t, _ in jumps]),
         values=np.array([ev.segment_value(0)] + [v for _, v in jumps]),
-        domain=(float(levels[0]), float(levels[-1])),
         left_limit=ev.segment_value(-1),
     )
     return F, ev.evals
@@ -513,7 +510,7 @@ class TestAnchoredBisection:
                 res = quasi_integral(crossing, f, variant)
                 F, ev = _midpoint_bisection(crossing, f, variant)
                 _same_distribution(res.distribution, F)
-                assert res.value == F.integral() + F.domain[0] * F.left_limit
+                assert res.value == F.integral() + float(F.thresholds[0]) * F.left_limit
                 assert res.diagnostics.refinement_iterations <= ev
                 evals += res.diagnostics.refinement_iterations
                 oracle_evals += ev
@@ -594,11 +591,19 @@ def _level_cases(n):
     return {k: ScalarField(frame, v) for k, v in fields.items()}
 
 
+def _level_rasters(n):
+    """The level cases' grids, and one-row rasters such as an atomic measure's:
+    a row of each grid, which mixes zero signs in the '+both' cases, and the
+    empty (1, 0) raster of a measure with no point in the frame."""
+    grids = {k: f.values for k, f in _level_cases(n).items()}
+    rows = {f"{k}[row]": v[n // 3][None] for k, v in grids.items()}
+    return grids | rows | {"empty_row": np.zeros((1, 0))}
+
+
 @pytest.mark.parametrize("n", [64, 512])
 def test_support_levels_are_np_unique(n):
     """The levels sorted from the support box are np.unique's, zero's sign included."""
-    for name, f in _level_cases(n).items():
-        v = f.values
+    for name, v in _level_rasters(n).items():
         want, want_counts = np.unique(v, return_counts=True)
         for counts in (False, True):
             box, levels, got = integration._support_levels(v, counts)
@@ -638,7 +643,7 @@ def _full_frame_layer_cake(f, variant, total, values, weights):
         mass = np.bincount(np.searchsorted(levels, values), weights=weights)
         unit = 1.0
     # The breakpoints start at the field's minimum, and F changes form at 0.
-    a, b = float(f.values.min()), float(f.values.max())
+    a = float(f.values.min())
     grid = np.union1d(levels, [a, 0.0])
     at = np.zeros(len(grid), dtype=mass.dtype)  # mass of the atoms at each grid value
     at[np.searchsorted(grid, levels)] = mass
@@ -654,7 +659,7 @@ def _full_frame_layer_cake(f, variant, total, values, weights):
         left_limit = total
     keep = np.flatnonzero(np.r_[True, F[1:] != F[:-1]])
     return DistributionFn(
-        thresholds=grid[keep], values=F[keep], domain=(a, b), left_limit=left_limit,
+        thresholds=grid[keep], values=F[keep], left_limit=left_limit,
     )
 
 
@@ -678,7 +683,21 @@ def _gate_measures(n):
         "atomic": AtomicMeasure(rng.uniform(-1.0, 11.0, size=(40, 2)),
                                 rng.uniform(0.1, 2.0, size=40)),
         "equal_atoms": AtomicMeasure(rng.uniform(0.5, 9.5, size=(12, 2)), np.full(12, 0.3)),
+        # no point in the frame: the layer cake reads an empty raster
+        "outside": AtomicMeasure(np.array([[-1.0, 5.0], [5.0, 10.5], [11.0, -2.0]]),
+                                 np.array([0.5, 1.0, 2.0])),
+        # points on edge-ring cells, where every gate field vanishes and a
+        # negated one holds -0.0
+        "on_zeros": AtomicMeasure(_edge_ring_centers(frame, rng.integers(n, size=4)),
+                                  rng.uniform(0.1, 2.0, size=4)),
     }
+
+
+def _edge_ring_centers(frame, k):
+    """The centers of four edge-ring cells, one on each side at offsets k."""
+    xc, yc = frame.x_centers(), frame.y_centers()
+    return np.array([[xc[0], yc[k[0]]], [xc[-1], yc[k[1]]], [xc[k[2]], yc[0]],
+                     [xc[k[3]], yc[-1]]])
 
 
 @pytest.mark.parametrize("kind,n", [
@@ -695,4 +714,4 @@ def test_layer_cake_equals_full_frame(kind, n):
                 F = _full_frame_layer_cake(f, variant, mu.total_mass(f.frame),
                                            *_full_frame_atoms(mu, f))
                 _same_distribution(res.distribution, F)
-                assert repr(res.value) == repr(F.integral() + F.domain[0] * F.left_limit), name
+                assert repr(res.value) == repr(F.integral() + float(F.thresholds[0]) * F.left_limit), name

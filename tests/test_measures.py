@@ -156,6 +156,24 @@ class TestAtomic:
         assert spikes.total_mass(frame64) == 3.75
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PointCountMeasure([[NAN, 5.0]], [0.0, 1.0]),
+    lambda: PointCountMeasure(MARKED_POINTS[:1], [0.0, INF]),
+    # a NaN point used to count in the total mass while lying in no cell
+    lambda: AtomicMeasure([[NAN, 5.0], [5.37, 5.63]], [3.0, 1.0]),
+    lambda: AtomicMeasure([[5.37, 5.63]], [INF]),
+    lambda: DensityMeasure(NAN),
+    lambda: DensityMeasure(np.full((64, 64), INF)),
+], ids=["point_count_point", "point_count_table", "atomic_point", "atomic_weight",
+        "density_scalar", "density_grid"])
+def test_non_finite_parameters_rejected(build):
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
+
+
 def test_point_count_region_with_point_on_contour_rejected(frame64, crossing):
     bad = PointCountMeasure(np.array([[0.625, 5.0]]), np.array([0.0, 1.0]))
     r = rect_region(frame64, 1, 9, 1, 9, role="compact")
@@ -193,10 +211,10 @@ class TestPointCellCache:
         frames = [standard_frame(64), standard_frame(100)]
         for _ in range(3):
             for frame in frames:
-                for x, y in mu.points:
-                    # the single cell holding (x, y) holds one marked point
+                for row, col in point_cells(frame, mu.points):
+                    # the single cell holding a marked point holds one
                     cell = np.zeros(frame.shape, dtype=bool)
-                    cell[frame.cell_of(x, y)] = True
+                    cell[row, col] = True
                     assert mu.mass(Region(frame, cell, "compact")) == VALUE_BY_COUNT[1]
         assert calls == frames
 
