@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -42,11 +41,9 @@ from .regions import (COMPACT, OPEN, Region, dilate, empty_region, erode, frame_
 class CheckReport:
     """Outcome of one property suite."""
 
-    name: str
     trials: int = 0
     failures: int = 0
     worst: dict | None = None
-    wall_time: float = 0.0
     details: dict = dc_field(default_factory=dict)
 
     @property
@@ -60,25 +57,12 @@ class CheckReport:
 
     def to_dict(self) -> dict:
         return {
-            "name": self.name,
             "trials": self.trials,
             "failures": self.failures,
             "passed": self.passed,
             "worst": self.worst,
             "details": self.details,
         }
-
-
-def _timed(fn):
-    # wraps sets __wrapped__, which inspect.signature follows: scenarios read
-    # a check's defaults through it
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        report = fn(*args, **kwargs)
-        report.wall_time = time.perf_counter() - t0
-        return report
-    return wrapper
 
 
 # -- randomized geometry -------------------------------------------------
@@ -208,9 +192,8 @@ class _Suite:
     """Set-up shared by the randomized suites: the report, rho, the seeded
     generator and the frame. Fields are drawn clear of the marked points."""
 
-    def __init__(self, name: str, mu: TopologicalMeasure, seed: int,
-                 frame: Frame | None):
-        self.report = CheckReport(name)
+    def __init__(self, mu: TopologicalMeasure, seed: int, frame: Frame | None):
+        self.report = CheckReport()
         self.rho = QuasiIntegral(mu)
         self.rng = np.random.default_rng(seed)
         self.frame = frame or standard_frame()
@@ -231,7 +214,6 @@ class _Suite:
         return draw_plateau(self.rng, self.frame, window, avoid_points=self._avoid)
 
 
-@_timed
 def check_sga_additivity(mu: TopologicalMeasure, f: ScalarField | None = None,
                          trials: int = 200, seed: int = 0, tol: float = 1e-6,
                          frame: Frame | None = None) -> CheckReport:
@@ -241,7 +223,7 @@ def check_sga_additivity(mu: TopologicalMeasure, f: ScalarField | None = None,
     Every other trial uses an identity split phi2 = id - phi1, for which the
     composed sum must also reproduce rho(f) itself.
     """
-    suite = _Suite("sga_additivity", mu, seed, frame)
+    suite = _Suite(mu, seed, frame)
     rho, rng, report = suite.rho, suite.rng, suite.report
     for trial in suite.trials(trials):
         ft = f if f is not None else suite.field()
@@ -267,13 +249,12 @@ def check_sga_additivity(mu: TopologicalMeasure, f: ScalarField | None = None,
     return report
 
 
-@_timed
 def check_disjoint_support_additivity(mu: TopologicalMeasure, trials: int = 200,
                                       seed: int = 0, tol: float = 1e-6,
                                       frame: Frame | None = None) -> CheckReport:
     """rho(f + g) = rho(f) + rho(g) for fields with disjoint supports,
     and rho(h) = rho(h+) - rho(h-) for their signed difference."""
-    suite = _Suite("disjoint_support_additivity", mu, seed, frame)
+    suite = _Suite(mu, seed, frame)
     rho, frame, report = suite.rho, suite.frame, suite.report
     width = frame.x_max - frame.x_min
     left = (frame.x_min + 0.5, frame.x_min + 0.44 * width,
@@ -298,27 +279,25 @@ def check_disjoint_support_additivity(mu: TopologicalMeasure, trials: int = 200,
     return report
 
 
-@_timed
-def check_nonlinearity_example(b: float = 1.0, frame: Frame | None = None,
-                               tol: float | None = None,
-                               heights=None) -> CheckReport:
-    """Golden values of the crossed-plateau configuration.
+def check_nonlinearity_example(heights=(1.0,), frame: Frame | None = None,
+                               tol: float | None = None) -> CheckReport:
+    """Golden values of the crossed-plateau configuration at each height b.
 
     rho(f) = rho(g) = b while rho(f + g) = 1.5 b, so the additivity defect
     is exactly b/2: the functional is not linear.
     """
-    all_heights = [b] if heights is None else list(heights)
-    if not all_heights or not all(h > 0 for h in all_heights):
+    heights = list(heights)
+    if not heights or not all(h > 0 for h in heights):
         raise GeometryError("every height must be positive, and heights non-empty")
     frame = frame or standard_frame()
     if (frame.x_min, frame.x_max, frame.y_min, frame.y_max) != (0.0, 10.0, 0.0, 10.0):
         raise GeometryError("the crossed-plateau configuration lives on [0,10]^2")
     if frame.nx < 64 or frame.ny < 64:
         raise GeometryError("configuration needs at least a 64x64 grid")
-    report = CheckReport("nonlinearity_example")
+    report = CheckReport()
     rho = QuasiIntegral(crossing_measure())
     per_height = {}
-    for height in all_heights:
+    for height in heights:
         eps = tol if tol is not None else 1e-9 * height
         f, g = crossing_fields(frame, height)
         vf, vg = rho(f), rho(g)
@@ -341,14 +320,13 @@ def check_nonlinearity_example(b: float = 1.0, frame: Frame | None = None,
     return report
 
 
-@_timed
 def check_monotone_lipschitz(mu: TopologicalMeasure, trials: int = 200,
                              seed: int = 0, tol: float = 1e-6,
                              frame: Frame | None = None) -> CheckReport:
     """f >= g forces rho(f) >= rho(g); and rho is Lipschitz on a common
     compact support, with constant mu(K) for non-negative pairs and
     2 mu(K) in general."""
-    suite = _Suite("monotone_lipschitz", mu, seed, frame)
+    suite = _Suite(mu, seed, frame)
     rho, rng, report = suite.rho, suite.rng, suite.report
     for trial in suite.trials(trials):
         # a truncation, a scaling, or an independent signed field
@@ -381,7 +359,6 @@ def _frac_rect(frame: Frame, fx0, fx1, fy0, fy1, role) -> Region:
                        frame.y_min + fy0 * h, frame.y_min + fy1 * h, role=role)
 
 
-@_timed
 def check_tm_axioms(mu: TopologicalMeasure, frame: Frame | None = None,
                     tol: float | None = None) -> CheckReport:
     """Additivity on disjoint compacts, the compact/open partition rule,
@@ -389,7 +366,7 @@ def check_tm_axioms(mu: TopologicalMeasure, frame: Frame | None = None,
     inner/outer regularity schedules."""
     frame = frame or standard_frame()
     tol = _default_rt_tol(mu) if tol is None else tol
-    report = CheckReport("tm_axioms")
+    report = CheckReport()
 
     def check(label, ok, witness):
         report.trials += 1
@@ -477,12 +454,13 @@ def check_tm_axioms(mu: TopologicalMeasure, frame: Frame | None = None,
     return report
 
 
-@_timed
 def check_homogeneity(mu: TopologicalMeasure, coeffs=(-2.0, -1.0, 0.5, 3.0),
                       trials: int = 200, seed: int = 0, tol: float = 1e-6,
                       frame: Frame | None = None) -> CheckReport:
     """rho(a f) = a rho(f) for every real coefficient."""
-    suite = _Suite("homogeneity", mu, seed, frame)
+    if len(coeffs) == 0:
+        raise ValueError("coeffs must name at least one coefficient")
+    suite = _Suite(mu, seed, frame)
     rho, report = suite.rho, suite.report
     for trial in suite.trials(trials):
         f = suite.field(signed=trial % 2 == 1)
@@ -494,23 +472,21 @@ def check_homogeneity(mu: TopologicalMeasure, coeffs=(-2.0, -1.0, 0.5, 3.0),
     return report
 
 
-@_timed
 def check_positivity(mu: TopologicalMeasure, trials: int = 200, seed: int = 0,
-                     tol: float = 0.0, frame: Frame | None = None) -> CheckReport:
+                     frame: Frame | None = None) -> CheckReport:
     """f >= 0 forces rho(f) >= 0."""
-    suite = _Suite("positivity", mu, seed, frame)
+    suite = _Suite(mu, seed, frame)
     for trial in suite.trials(trials):
         v = suite.rho(suite.field())
-        if v < -tol:
+        if v < 0:
             suite.report.record(-v, {"trial": trial, "rho": v})
     return suite.report
 
 
-@_timed
 def check_linear_agreement(mu: TopologicalMeasure, f: ScalarField,
                            tol: float = 5e-3, variant: str = "B") -> CheckReport:
     """For a genuine measure the quasi-integral matches the direct integral."""
-    report = CheckReport("linear_agreement")
+    report = CheckReport()
     result = quasi_integral(mu, f, variant)
     oracle = linear_oracle(mu, f)
     gap = abs(result.value - oracle)
@@ -525,12 +501,13 @@ def check_linear_agreement(mu: TopologicalMeasure, f: ScalarField,
     return report
 
 
-@_timed
 def check_roundtrip(mu: TopologicalMeasure, catalog,
                     schedule: BumpSchedule | None = None,
                     rt_tol: float | None = None) -> CheckReport:
     """Reconstruction recovers tm_eval over the catalog."""
-    report = CheckReport("roundtrip")
+    if not catalog:
+        raise ValueError("the catalog must name at least one region")
+    report = CheckReport()
     entries = roundtrip(mu, catalog, schedule, rt_tol)
     per_region = {}
     for e in entries:
@@ -546,7 +523,6 @@ def check_roundtrip(mu: TopologicalMeasure, catalog,
     return report
 
 
-@_timed
 def check_extension_consistency(mu: TopologicalMeasure, f: ScalarField,
                                 ns=(2, 4, 8), tol: float = 1e-9) -> CheckReport:
     """Chopping off a shrinking bottom slice perturbs rho boundedly.
@@ -555,12 +531,14 @@ def check_extension_consistency(mu: TopologicalMeasure, f: ScalarField,
     |rho(f) - rho(f_n)| <= ||f - f_n|| * mu(X); the gaps must shrink as the
     slice does.
     """
+    if len(ns) == 0:
+        raise ValueError("ns must name at least one slice")
     total = mu.total_mass(f.frame)
     if math.isinf(total):
         raise InfiniteMeasureError("extension check requires a finite measure")
     if float(f.values.min()) < 0:
         raise DomainError("extension check requires a non-negative field")
-    report = CheckReport("extension_consistency")
+    report = CheckReport()
     rho_f = quasi_integral(mu, f).value
     tails, gaps = [], []
     for n in ns:
@@ -582,14 +560,13 @@ def check_extension_consistency(mu: TopologicalMeasure, f: ScalarField,
     return report
 
 
-@_timed
 def check_distribution_invariants(mu: TopologicalMeasure, trials: int = 50,
                                   seed: int = 0, frame: Frame | None = None,
                                   tol: float = 1e-9) -> CheckReport:
     """Every constructed distribution function is a non-increasing step
     function with a zero tail, bounded by the support mass, and its interval
     masses are additive at step-aligned cut points."""
-    suite = _Suite("distribution_invariants", mu, seed, frame)
+    suite = _Suite(mu, seed, frame)
     rng, report = suite.rng, suite.report
     finite = math.isfinite(mu.total_mass(suite.frame))
     for trial in suite.trials(trials):

@@ -7,6 +7,7 @@ field and a region share the same (ny, nx) raster.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ class Frame:
             raise ValueError("frame extents must be strictly positive")
         if self.nx < MIN_CELLS or self.ny < MIN_CELLS:
             raise ValueError(f"frame needs at least {MIN_CELLS} cells per axis")
+        # an infinite extent, or finite ones whose difference overflows
+        if not (math.isfinite(self.dx) and math.isfinite(self.dy)):
+            raise ValueError("frame cell sizes must be finite")
 
     @property
     def dx(self) -> float:

@@ -63,12 +63,17 @@ class DistributionFn:
         v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         if t.shape != v.shape or t.ndim != 1 or len(t) == 0:
             raise ValueError("thresholds and values must be equal-length 1-d arrays")
-        if bool((np.diff(t) <= 0).any()):
+        # every comparison is written so that NaN fails it, and the ends of
+        # increasing thresholds and of non-increasing values bound the rest
+        if not (math.isfinite(t[0]) and math.isfinite(t[-1])
+                and math.isfinite(v[0]) and math.isfinite(self.left_limit)):
+            raise ValueError("distribution function entries must be finite")
+        if not bool((np.diff(t) > 0).all()):
             raise ValueError("thresholds must be strictly increasing")
         slack = 1e-12 * (abs(self.left_limit) + abs(float(v[0])) + 1.0)
-        if bool((np.diff(v) > slack).any()) or v[0] > self.left_limit + slack:
+        if not (bool((np.diff(v) <= slack).all()) and v[0] <= self.left_limit + slack):
             raise ValueError("distribution function must be non-increasing")
-        if bool((v < 0).any()) or self.left_limit < 0:
+        if not (bool((v >= 0).all()) and self.left_limit >= 0):
             raise ValueError("distribution function must be non-negative")
         if v[-1] != 0.0:
             raise ValueError("distribution function must vanish beyond the range")
@@ -369,10 +374,9 @@ def linear_oracle(mu: TopologicalMeasure, f: ScalarField) -> float:
 
 @dataclass(frozen=True)
 class QuasiIntegral:
-    """A measure bound to an integration variant: callable rho."""
+    """A measure's quasi-integral as a callable: rho(f)."""
 
     mu: TopologicalMeasure
-    variant: str = VARIANT_B
 
     def __call__(self, f: ScalarField) -> float:
-        return quasi_integral(self.mu, f, self.variant).value
+        return quasi_integral(self.mu, f).value

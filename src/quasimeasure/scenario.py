@@ -13,6 +13,7 @@ import hashlib
 import inspect
 import json
 import sys
+import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -219,7 +220,7 @@ def _field_csv(f):
 _KEYS = {
     "measure": ("mu", _measure), "field": ("f", _field), "regions": ("catalog", _catalog),
     "region": ("region", _region),
-    "b": ("b", _float), "heights": ("heights", _floats), "coeffs": ("coeffs", _floats),
+    "heights": ("heights", _floats), "coeffs": ("coeffs", _floats),
     "ns": ("ns", _floats), "trials": ("trials", _int), "tol": ("tol", _float),
     "rt_tol": ("rt_tol", _float), "max_steps": ("schedule", _schedule),
     "variant": ("variant", _variant),
@@ -263,8 +264,7 @@ _CSV_NAMES = {"distributions": "distribution_{measure}_{field}.csv",
 # check name -> (check function, the scenario keys it accepts). seed and frame
 # are supplied when the check runs, to the checks that take them.
 _CHECKS = {
-    "nonlinearity_example": (checks_mod.check_nonlinearity_example,
-                             ("b", "heights", "tol")),
+    "nonlinearity_example": (checks_mod.check_nonlinearity_example, ("heights", "tol")),
     "sga_additivity": (checks_mod.check_sga_additivity,
                        ("measure", "field", "trials", "tol")),
     "disjoint_support_additivity": (checks_mod.check_disjoint_support_additivity,
@@ -383,9 +383,11 @@ class Scenario:
 def load_scenario(path, resolution: int | None = None) -> Scenario:
     p = Path(path)
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(p.read_text(encoding="utf-8"))  # JSON's encoding, RFC 8259
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"scenario is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
     return Scenario(data, resolution)
@@ -430,13 +432,15 @@ def execute_scenario(scenario: Scenario, out_dir=None) -> dict:
     ConfigError at its JSON path, and then no report.json is written.
     """
     labels = _check_labels(scenario.checks)
-    reports = []
-    for i, ((_, fn, kwargs), label) in enumerate(zip(scenario.checks, labels)):
+    checks, wall_times = {}, {}
+    for i, ((name, fn, kwargs), label) in enumerate(zip(scenario.checks, labels)):
         with _built_at(f"$.checks[{i}]"):
-            reports.append(_call(fn, kwargs, seed=_child_seed(scenario.seed, label),
-                                 frame=scenario.frame))
+            start = time.perf_counter()
+            found = _call(fn, kwargs, seed=_child_seed(scenario.seed, label),
+                          frame=scenario.frame)
+            wall_times[label] = time.perf_counter() - start
+        checks[label] = {"name": name, **found.to_dict()}
 
-    by_label = dict(sorted(zip(labels, reports), key=lambda kv: kv[0]))
     import quasimeasure
 
     report = {
@@ -451,11 +455,11 @@ def execute_scenario(scenario: Scenario, out_dir=None) -> dict:
             "quasimeasure": quasimeasure.__version__,
             "numpy": np.__version__,
         },
-        "checks": {label: rep.to_dict() for label, rep in by_label.items()},
-        "passed": all(rep.passed for rep in reports),
+        "checks": checks,
+        "passed": all(check["passed"] for check in checks.values()),
         "timing": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "wall_times": {label: rep.wall_time for label, rep in by_label.items()},
+            "wall_times": wall_times,
         },
     }
     if out_dir is not None:

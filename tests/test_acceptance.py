@@ -46,7 +46,7 @@ def _verdict(number: int, label: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_nonlinear_golden_triple():
     start = time.perf_counter()
-    report = check_nonlinearity_example(b=1.0, frame=standard_frame(64))
+    report = check_nonlinearity_example(heights=[1.0], frame=standard_frame(64))
     elapsed = time.perf_counter() - start
     d = report.details["1.0"]
     errors = (abs(d["rho_f"] - 1.0), abs(d["rho_g"] - 1.0), abs(d["rho_sum"] - 1.5))

@@ -38,14 +38,14 @@ from quasimeasure.presets import roundtrip_catalog, standard_frame
 
 class TestNonlinearityExample:
     def test_golden_triple(self):
-        report = check_nonlinearity_example(b=1.0)
+        report = check_nonlinearity_example(heights=[1.0])
         assert report.passed
         d = report.details["1.0"]
         assert (d["rho_f"], d["rho_g"], d["rho_sum"]) == (1.0, 1.0, 1.5)
         assert d["defect"] == 0.5
 
     def test_height_two(self):
-        report = check_nonlinearity_example(b=2.0)
+        report = check_nonlinearity_example(heights=[2.0])
         d = report.details["2.0"]
         assert (d["rho_f"], d["rho_g"], d["rho_sum"]) == (2.0, 2.0, 3.0)
 
@@ -67,16 +67,11 @@ class TestNonlinearityExample:
             check_nonlinearity_example(frame=Frame(0, 12, 0, 12, 64, 64))
 
     @pytest.mark.parametrize("kwargs", [
-        {"b": -1.0}, {"heights": []}, {"heights": [-1.0]}, {"heights": [1.0, 0.0]},
+        {"heights": []}, {"heights": [-1.0]}, {"heights": [1.0, 0.0]},
     ])
     def test_non_positive_or_no_height_rejected(self, kwargs):
         with pytest.raises(GeometryError):
             check_nonlinearity_example(**kwargs)
-
-    def test_b_is_unused_when_heights_are_given(self):
-        report = check_nonlinearity_example(b=-1.0, heights=[1.0])
-        assert report.passed
-        assert list(report.details) == ["1.0"]
 
 
 class TestGoldenPairRho:
@@ -154,7 +149,6 @@ class TestRandomSuites:
         report = fn(crossing, trials=25, seed=11)
         assert report.passed, report.worst
         assert report.trials == 25
-        assert report.wall_time > 0
 
     def test_distribution_invariants(self, crossing):
         report = check_distribution_invariants(crossing, trials=20, seed=3)
@@ -191,8 +185,8 @@ class TestRandomSuites:
         stream = {}
         for fn in RANDOM_SUITES:
             log.clear()
-            report = fn(crossing, trials=3, seed=11)
-            stream[report.name] = list(log)
+            fn(crossing, trials=3, seed=11)
+            stream[fn.__name__.removeprefix("check_")] = list(log)
         assert stream == PINNED_STREAM
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -46,9 +48,11 @@ class TestFrame:
         with pytest.raises(ValueError):
             Frame(0, 10, 0, 10, 4, 64)
 
-    def test_degenerate_extent(self):
+    # (-1e308, 1e308) is finite, but its width overflows to an infinite cell
+    @pytest.mark.parametrize("x_min, x_max", [(0, 0), (0, math.inf), (-1e308, 1e308)])
+    def test_degenerate_extent(self, x_min, x_max):
         with pytest.raises(ValueError):
-            Frame(0, 0, 0, 10, 64, 64)
+            Frame(x_min, x_max, 0, 10, 64, 64)
 
     def test_cell_geometry(self, frame64):
         assert frame64.dx == pytest.approx(10 / 64)

@@ -303,6 +303,17 @@ class TestDistributionValidation:
         with pytest.raises(ValueError):
             DistributionFn(np.array([0.0, 0.0]), np.array([1.0, 0.0]), left_limit=1.0)
 
+    @pytest.mark.parametrize("thresholds, values, left_limit", [
+        ([0.0, math.nan], [math.nan, 0.0], math.nan),
+        ([0.0, 1.0], [1.0, 0.0], math.inf),
+        ([0.0, 1.0], [math.inf, 0.0], 1.0),
+        ([math.nan], [0.0], 0.0),
+        ([0.0, math.inf], [1.0, 0.0], 1.0),
+    ])
+    def test_entries_must_be_finite(self, thresholds, values, left_limit):
+        with pytest.raises(ValueError):
+            DistributionFn(thresholds, values, left_limit)
+
     def test_csv_roundtrip(self, tmp_path, crossing, golden_sum):
         F = distribution_function(crossing, golden_sum)
         path = tmp_path / "F.csv"

@@ -65,12 +65,22 @@ class TestBundledScenarios:
         assert report["passed"]
         triple = report["checks"]["nonlinearity_example"]["details"]["1.0"]
         assert (triple["rho_f"], triple["rho_g"], triple["rho_sum"]) == (1.0, 1.0, 1.5)
+        assert report["checks"]["sga_additivity_2"]["name"] == "sga_additivity"
         for name in ("distribution_crossing_f.csv", "distribution_crossing_h.csv",
                      "field_h.csv", "reconstruction_crossing_core.csv"):
             assert (tmp_path / "out" / name).exists()
 
     def test_measure_baseline_passes(self, baseline_path):
         assert run_scenario(baseline_path) == 0
+
+    def test_every_check_is_timed_under_its_label(self, baseline_path):
+        report = execute_scenario(load_scenario(baseline_path))
+        labels = {"linear_agreement", "linear_agreement_2", "linear_agreement_3",
+                  "tm_axioms", "tm_axioms_2", "roundtrip", "homogeneity", "positivity",
+                  "extension_consistency", "distribution_invariants"}
+        wall_times = report["timing"]["wall_times"]
+        assert set(wall_times) == set(report["checks"]) == labels
+        assert all(t > 0 for t in wall_times.values())
 
     def test_unknown_bundled_name(self):
         with pytest.raises(ConfigError):
@@ -156,6 +166,18 @@ class TestValidation:
         p.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_scenario(p)
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'\xff\xfe{"frame": 1}')
+        assert main(["run", str(p)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_b_is_an_unknown_key(self):
+        data = small_scenario_dict()
+        data["checks"][0]["b"] = 1.0
+        with pytest.raises(ConfigError, match=r"^\$\.checks\[0\]: unknown keys \['b'\]"):
+            Scenario(data)
 
     def test_resolution_override(self, nonlinear_path):
         scenario = load_scenario(nonlinear_path, resolution=96)
@@ -298,6 +320,10 @@ class TestCli:
         ("measure_baseline", {("checks", 6, "trials"): -3}, [], "$.checks[6]"),
         ("nonlinear_example", {("checks", 0, "heights"): [-1.0]}, [], "$.checks[0]"),
         ("nonlinear_example", {("checks", 0, "heights"): []}, [], "$.checks[0]"),
+        # nor is a check that would compare nothing
+        ("measure_baseline", {("checks", 6, "coeffs"): []}, [], "$.checks[6]"),
+        ("measure_baseline", {("checks", 8, "ns"): []}, [], "$.checks[8]"),
+        ("measure_baseline", {("checks", 5, "regions"): []}, [], "$.checks[5]"),
         # json reads NaN and Infinity: a scenario number must be finite
         ("measure_baseline", {("checks", 6, "tol"): math.nan}, [], "$.checks[6].tol"),
         ("measure_baseline", {("measures", "spikes", "points", 1, 0): math.nan}, [],
@@ -305,6 +331,9 @@ class TestCli:
         ("nonlinear_example", {("measures", "crossing", "value_by_count", 5): math.nan}, [],
          "$.measures.crossing.value_by_count[5]"),
         ("measure_baseline", {("frame", "x_max"): math.inf}, [], "$.frame.x_max"),
+        # finite extents whose width overflows to an infinite cell
+        ("measure_baseline", {("frame", "x_min"): -1e308, ("frame", "x_max"): 1e308}, [],
+         "$.frame"),
         # and integers of any size: this one has no float
         ("measure_baseline", {("checks", 6, "tol"): 10 ** 400}, [], "$.checks[6].tol"),
         # the name is copied into report.json
