@@ -32,6 +32,11 @@ class ScalarField:
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         if vals.shape != self.frame.shape:
             raise ValueError(f"values shape {vals.shape} != frame shape {self.frame.shape}")
+        # a field has one zero: -0.0 + 0.0 is 0.0, and every other value is
+        # unchanged. The bits of -0.0 are the least int64, so one scan tells
+        # whether a copy is needed
+        if vals.view(np.int64).min() == -2**63:
+            vals = vals + 0.0
         if not np.isfinite(vals).all():
             raise ValueError("field values must be finite")
         if bool((edge_cells(vals) != 0.0).any()):
@@ -157,12 +162,10 @@ def build_plateau(inner: Region | None, outer: Region, height: float,
 
     f(x) = height * min(1, dist(x, complement of outer) / ramp_width), with
     distances taken between cell centers. The ramp is built on the padded
-    bounding box of `outer` (see `distance_map`); every cell off it holds
-    height * 0.0, so a negative height leaves -0.0 off the support, as the
-    formula does over the whole frame. The inner region only constrains
-    feasibility: it must sit at distance >= ramp_width from the complement
-    so the plateau is exactly flat there. `inner=None` (or empty) is allowed
-    and produces a pure ramp bump.
+    bounding box of `outer` (see `distance_map`); every cell off it holds 0.
+    The inner region only constrains feasibility: it must sit at distance
+    >= ramp_width from the complement so the plateau is exactly flat there.
+    `inner=None` (or empty) is allowed and produces a pure ramp bump.
 
     Raises:
         GeometryError: empty outer, inner not inside outer, or ramp wider
@@ -221,9 +224,8 @@ def ramp_field(frame: Frame, box: tuple[slice, slice], dist: np.ndarray,
                height: float, ramp_width: float) -> ScalarField:
     """The field height * min(1, dist / ramp_width) of a `distance_map`
     (box, dist), computed on the box alone. Off the box the distance is 0,
-    so the frame is filled with height * 0.0: -0.0 for a negative height,
-    as the formula gives over the whole frame."""
-    values = np.full(frame.shape, height * 0.0)
+    and so is the field."""
+    values = np.zeros(frame.shape)
     values[box] = height * np.minimum(1.0, dist / ramp_width)
     return ScalarField(frame, values)
 

@@ -34,9 +34,10 @@ class Frame:
             raise ValueError("frame extents must be strictly positive")
         if self.nx < MIN_CELLS or self.ny < MIN_CELLS:
             raise ValueError(f"frame needs at least {MIN_CELLS} cells per axis")
-        # an infinite extent, or finite ones whose difference overflows
-        if not (math.isfinite(self.dx) and math.isfinite(self.dy)):
-            raise ValueError("frame cell sizes must be finite")
+        # an infinite extent, finite ones whose difference overflows, or a
+        # cell size or area that underflows to zero or overflows
+        if not 0 < self.cell_area < math.inf:
+            raise ValueError("frame cell area must be positive and finite")
 
     @property
     def dx(self) -> float:

@@ -23,9 +23,9 @@ sampled value. Each family of measure builds it exactly, in one way:
   when one lies inside it, since a point leaves {f > t} exactly there, and
   every probe is a mask of the field cropped to the box of {f != 0}.
 
-Both paths sort only that box for the raster's distinct values, and find
-the sign of its zero level, which np.unique of the whole raster would give,
-from the raster's bits. Either way the integral carries no quadrature error.
+Both paths sort only that box for the raster's distinct values, and add
+the zero level when a cell off the box holds it. Either way the integral
+carries no quadrature error.
 """
 
 from __future__ import annotations
@@ -136,32 +136,23 @@ class QuasiIntegralResult:
 
 
 def _support_levels(values: np.ndarray, counts: bool = False):
-    """The box of {values != 0}, and np.unique(values) bit for bit from the box.
+    """The box of {values != 0}, and np.unique(values) from the box.
 
-    Every non-zero value lies in the box, and equal non-zero floats have
-    equal bits, so the box's distinct values are the raster's but for zero.
-    np.unique keeps whichever zero its sort puts first, which is the one
-    sign when the raster holds zeros of one sign. The bits of +0.0 are the
-    least uint64 and those of -0.0 the least int64, so two minima tell which
-    zeros the raster holds; their initial values make an empty raster hold
-    neither. A raster holding both goes to np.unique whole. With `counts`,
-    each level's count of cells comes too, from
+    Every non-zero value lies in the box, and a field's only zero is 0.0, so
+    the box's distinct values are the raster's but for the 0.0 that cells
+    off the box hold: that level is added, with count 0, when the box
+    lacks it. With `counts`, each level's count of cells comes too, from
     np.unique(..., return_counts=True); a zero level's count is not the
     raster's.
     """
     box = _bbox(values != 0.0) or (slice(0, 0), slice(0, 0))  # bools scan faster than floats
-    plus = values.view(np.uint64).min(initial=1) == 0
-    minus = values.view(np.int64).min(initial=0) == -2**63
-    found = np.unique(values if plus and minus else values[box], return_counts=counts)
+    inside = values[box]
+    found = np.unique(inside, return_counts=counts)
     levels, n = found if counts else (found, None)
-    if plus != minus:
-        zero = 0.0 if plus else -0.0
-        i = int(levels.searchsorted(0.0))
-        if i < len(levels) and levels[i] == 0.0:
-            levels[i] = zero
-        else:
-            levels = np.concatenate((levels[:i], [zero], levels[i:]))
-            n = None if n is None else np.concatenate((n[:i], [0], n[i:]))
+    i = int(levels.searchsorted(0.0))
+    if inside.size < values.size and (i == len(levels) or levels[i] != 0.0):
+        levels = np.insert(levels, i, 0.0)
+        n = None if n is None else np.insert(n, i, 0)
     return box, levels, n
 
 

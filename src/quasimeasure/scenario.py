@@ -8,6 +8,7 @@ single "timing" key.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import inspect
@@ -216,7 +217,9 @@ def _field_csv(f):
     return functools.partial(field_to_csv, f)
 
 
-# scenario key -> (argument of the function it is passed to, parser)
+# scenario key -> (argument of the function it is passed to, parser). A
+# scenario object accepts a key exactly when its function takes the key's
+# argument, so no two keys share one.
 _KEYS = {
     "measure": ("mu", _measure), "field": ("f", _field), "regions": ("catalog", _catalog),
     "region": ("region", _region),
@@ -233,57 +236,40 @@ _KEYS = {
     "of": ("of", _summands), "factor": ("a", _float), "delta": ("delta", _float),
 }
 
-# section -> kind -> (constructor, the scenario keys it accepts). The frame is
-# supplied to the constructors that take it.
+# section -> kind -> constructor. The frame is supplied to the constructors
+# that take it.
 _KINDS = {
-    "measures": {
-        "density": (DensityMeasure, ("density", "unbounded")),
-        "point_count": (PointCountMeasure, ("points", "value_by_count")),
-        "atomic": (AtomicMeasure, ("points", "weights")),
-    },
-    "regions": {
-        "rect": (_rect, ("bounds", "role")),
-        "interior": (_interior, ("margin", "role")),
-        "empty": (_empty, ("role",)),
-    },
-    "fields": {
-        "plateau": (_plateau, ("inner", "outer", "height", "ramp")),
-        "sum": (_sum, ("of",)),
-        "scale": (scale, ("field", "factor")),
-        "truncate": (truncate, ("field", "delta")),
-    },
-    # artifact list -> (constructor, keys); $.artifacts.fields lists bare names
-    "artifacts": {
-        "distributions": (_distribution, ("measure", "field", "variant")),
-        "reconstruction_traces": (_trace, ("measure", "region")),
-    },
+    "measures": {"density": DensityMeasure, "point_count": PointCountMeasure,
+                 "atomic": AtomicMeasure},
+    "regions": {"rect": _rect, "interior": _interior, "empty": _empty},
+    "fields": {"plateau": _plateau, "sum": _sum, "scale": scale, "truncate": truncate},
+    # $.artifacts.fields lists bare names
+    "artifacts": {"distributions": _distribution, "reconstruction_traces": _trace},
 }
 _CSV_NAMES = {"distributions": "distribution_{measure}_{field}.csv",
               "reconstruction_traces": "reconstruction_{measure}_{region}.csv"}
 
-# check name -> (check function, the scenario keys it accepts). seed and frame
-# are supplied when the check runs, to the checks that take them.
+# check name -> check function. seed and frame are supplied when the check
+# runs, to the checks that take them.
 _CHECKS = {
-    "nonlinearity_example": (checks_mod.check_nonlinearity_example, ("heights", "tol")),
-    "sga_additivity": (checks_mod.check_sga_additivity,
-                       ("measure", "field", "trials", "tol")),
-    "disjoint_support_additivity": (checks_mod.check_disjoint_support_additivity,
-                                    ("measure", "trials", "tol")),
-    "monotone_lipschitz": (checks_mod.check_monotone_lipschitz,
-                           ("measure", "trials", "tol")),
-    "homogeneity": (checks_mod.check_homogeneity,
-                    ("measure", "trials", "tol", "coeffs")),
-    "positivity": (checks_mod.check_positivity, ("measure", "trials")),
-    "tm_axioms": (checks_mod.check_tm_axioms, ("measure", "tol")),
-    "roundtrip": (checks_mod.check_roundtrip,
-                  ("measure", "regions", "rt_tol", "max_steps")),
-    "linear_agreement": (checks_mod.check_linear_agreement,
-                         ("measure", "field", "tol", "variant")),
-    "extension_consistency": (checks_mod.check_extension_consistency,
-                              ("measure", "field", "ns", "tol")),
-    "distribution_invariants": (checks_mod.check_distribution_invariants,
-                                ("measure", "trials", "tol")),
+    "nonlinearity_example": checks_mod.check_nonlinearity_example,
+    "sga_additivity": checks_mod.check_sga_additivity,
+    "disjoint_support_additivity": checks_mod.check_disjoint_support_additivity,
+    "monotone_lipschitz": checks_mod.check_monotone_lipschitz,
+    "homogeneity": checks_mod.check_homogeneity,
+    "positivity": checks_mod.check_positivity,
+    "tm_axioms": checks_mod.check_tm_axioms,
+    "roundtrip": checks_mod.check_roundtrip,
+    "linear_agreement": checks_mod.check_linear_agreement,
+    "extension_consistency": checks_mod.check_extension_consistency,
+    "distribution_invariants": checks_mod.check_distribution_invariants,
 }
+
+
+def _keys(fn) -> list[str]:
+    """The scenario keys fn accepts: those whose argument its signature takes."""
+    params = inspect.signature(fn).parameters
+    return [key for key, (arg, _) in _KEYS.items() if arg in params]
 
 
 class Scenario:
@@ -344,14 +330,15 @@ class Scenario:
             _fail(path, f"expected an object with a {tag!r} name")
         if entry not in table:
             _fail(path, f"unknown {tag} {entry!r}")
-        fn, keys = table[entry]
-        return entry, fn, self._arguments(spec, path, fn, keys, tag)
+        fn = table[entry]
+        return entry, fn, self._arguments(spec, path, fn, tag)
 
-    def _arguments(self, spec, path: str, fn, keys, *tag) -> dict:
+    def _arguments(self, spec, path: str, fn, *tag) -> dict:
         """fn's arguments from the scenario keys of spec. Absent keys are not
         passed, so every default lives in fn's signature, and a key is
         required exactly when its argument has no default."""
         params = inspect.signature(fn).parameters
+        keys = _keys(fn)
         required = {key for key in keys
                     if params[_KEYS[key][0]].default is inspect.Parameter.empty}
         _require_keys(spec, {*tag, *keys}, {*tag, *required}, path)
@@ -369,10 +356,10 @@ class Scenario:
         """Bind every artifact as (JSON path, CSV file name, constructor, arguments)."""
         _require_keys(art, {"fields", *_KINDS["artifacts"]}, set(), "$.artifacts")
         bound = []
-        for key, (fn, keys) in _KINDS["artifacts"].items():
+        for key, fn in _KINDS["artifacts"].items():
             for i, spec in enumerate(_expect(art.get(key, []), list, f"$.artifacts.{key}")):
                 path = f"$.artifacts.{key}[{i}]"
-                kwargs = self._arguments(spec, path, fn, keys)
+                kwargs = self._arguments(spec, path, fn)
                 bound.append((path, _CSV_NAMES[key].format(**spec), fn, kwargs))
         for i, name in enumerate(_expect(art.get("fields", []), list, "$.artifacts.fields")):
             path = f"$.artifacts.fields[{i}]"
@@ -446,11 +433,7 @@ def execute_scenario(scenario: Scenario, out_dir=None) -> dict:
     report = {
         "scenario": scenario.name,
         "seed": scenario.seed,
-        "frame": {
-            "x_min": scenario.frame.x_min, "x_max": scenario.frame.x_max,
-            "y_min": scenario.frame.y_min, "y_max": scenario.frame.y_max,
-            "nx": scenario.frame.nx, "ny": scenario.frame.ny,
-        },
+        "frame": dataclasses.asdict(scenario.frame),
         "versions": {
             "quasimeasure": quasimeasure.__version__,
             "numpy": np.__version__,

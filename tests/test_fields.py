@@ -48,11 +48,18 @@ class TestFrame:
         with pytest.raises(ValueError):
             Frame(0, 10, 0, 10, 4, 64)
 
-    # (-1e308, 1e308) is finite, but its width overflows to an infinite cell
-    @pytest.mark.parametrize("x_min, x_max", [(0, 0), (0, math.inf), (-1e308, 1e308)])
+    # (-1e308, 1e308) is finite, but its width overflows to an infinite cell,
+    # and 5e-324 is positive, but its cell underflows to 0
+    @pytest.mark.parametrize("x_min, x_max", [
+        (0, 0), (0, math.inf), (-1e308, 1e308), (0, 5e-324),
+    ])
     def test_degenerate_extent(self, x_min, x_max):
         with pytest.raises(ValueError):
             Frame(x_min, x_max, 0, 10, 64, 64)
+
+    def test_cell_area_overflows(self):
+        with pytest.raises(ValueError):
+            Frame(0, 1e300, 0, 1e300, 8, 8)
 
     def test_cell_geometry(self, frame64):
         assert frame64.dx == pytest.approx(10 / 64)
@@ -76,6 +83,37 @@ class TestScalarField:
     def test_shape_mismatch(self, frame64):
         with pytest.raises(ValueError):
             ScalarField(frame64, np.zeros((10, 10)))
+
+    def test_one_zero(self, frame64, regions64, golden_pair):
+        """A field stores -0.0 as 0.0 and every other value bit for bit, and
+        leaves a caller's array as it was."""
+        f, g = golden_pair
+        h = f - g
+        outer = regions64["U"]
+        caller = np.zeros(frame64.shape)
+        caller[20:40, 20:40] = 0.75
+        caller[25:30, 25:30] = -1.5
+        caller[1:-1, 1:-1] *= -1.0  # -0.0 inside the edge ring, 0.0 on it
+        frozen = caller.copy()
+        frozen.setflags(write=False)
+        before = caller.copy()
+        cases = {
+            "scale": (scale(f, -1.0), -1.0 * f.values),
+            "neg_part": (neg_part(h), np.maximum(-h.values, 0.0)),
+            "plateau": (build_plateau(regions64["K"], outer, -2.0, 0.25),
+                        -2.0 * np.minimum(1.0, full_frame_distance_map(outer) / 0.25)),
+            "caller": (ScalarField(frame64, caller), caller),
+            "read_only": (ScalarField(frame64, frozen), frozen),
+        }
+        for name, (got, raw) in cases.items():
+            zero = raw == 0.0
+            # np.maximum(-0.0, 0.0) may return either zero
+            assert name == "neg_part" or np.signbit(raw[zero]).any(), name
+            assert not np.signbit(got.values[zero]).any(), name
+            assert np.array_equal(got.values[~zero].view(np.uint64),
+                                  raw[~zero].view(np.uint64)), name
+        for raw in (caller, frozen):
+            assert np.array_equal(raw.view(np.uint64), before.view(np.uint64))
 
 
 class TestBuildPlateau:
@@ -119,9 +157,9 @@ class TestBuildPlateau:
         f = build_plateau(regions64["K"], regions64["U"], -2.0, 0.25)
         assert sup_norm(f) == 2.0
         assert np.all(f.values <= 0.0)
-        # height * 0.0 off the support: -0.0, as the full-frame formula gives
+        # the formula gives -0.0 off the support, which the field stores as 0.0
         off = ~regions64["U"].mask
-        assert np.all(f.values[off] == 0.0) and np.all(np.signbit(f.values[off]))
+        assert np.all(f.values[off] == 0.0) and not np.signbit(f.values[off]).any()
 
 
 def full_frame_distance_map(outer):
@@ -158,8 +196,7 @@ class TestDistanceMap:
             assert np.array_equal(embedded, full_frame_distance_map(r))
 
     def test_box_built_plateau_equals_the_full_frame(self, gate_masks):
-        # every value and the sign of every zero: a negative height leaves
-        # -0.0 off the support, which the CSV artifacts print
+        # every value and the sign of every zero, which the CSV artifacts print
         outcomes = []
         for r in gate_masks:
             if r.is_empty or r.role != "open":

@@ -476,15 +476,6 @@ def _signed_sum(n, rng):
     return f
 
 
-def _both_zeros(f):
-    """f with zeros of both signs: every 7th of its zero cells -0.0, the rest 0.0."""
-    v = f.values.copy()
-    zeros = np.flatnonzero(v == 0.0)
-    v.flat[zeros] = 0.0
-    v.flat[zeros[::7]] = -0.0
-    return ScalarField(f.frame, v)
-
-
 def _gate_fields(kind, n):
     if kind == "golden":
         f, g = crossing_fields(standard_frame(n), 1.0)
@@ -492,8 +483,9 @@ def _gate_fields(kind, n):
     else:
         rng = np.random.default_rng([n, 8])
         fields = [_signed_sum(n, rng) for _ in range(10)]
-    # a negated field holds -0.0 wherever it vanishes, the edge ring included
-    return fields + [scale(f, -1.0) for f in fields] + [_both_zeros(f) for f in fields]
+    # negating a field gives -0.0 wherever it vanishes, the edge ring
+    # included, which the field stores as 0.0
+    return fields + [scale(f, -1.0) for f in fields]
 
 
 def _bits(x):
@@ -595,25 +587,25 @@ def _level_cases(n):
     one = zero.copy()
     one[n // 3, n // 5] = 0.5
     fields = {"zero": zero, "filled": filled, "holed": holed, "one_cell": one}
-    fields |= {f"-{k}": -v for k, v in fields.items()}  # zeros of the other sign
-    fields |= {f"{k}+both": _both_zeros(ScalarField(frame, v)).values
-               for k, v in fields.items() if not k.startswith("-")}
+    # negated: -0.0 where they vanish, which the field stores as 0.0
+    fields |= {f"-{k}": -v for k, v in fields.items()}
     fields["signed"] = _signed_sum(n, rng).values
     return {k: ScalarField(frame, v) for k, v in fields.items()}
 
 
 def _level_rasters(n):
     """The level cases' grids, and one-row rasters such as an atomic measure's:
-    a row of each grid, which mixes zero signs in the '+both' cases, and the
-    empty (1, 0) raster of a measure with no point in the frame."""
+    a row of each grid, a row with no zero, whose box is the whole raster,
+    and the empty (1, 0) raster of a measure with no point in the frame."""
     grids = {k: f.values for k, f in _level_cases(n).items()}
     rows = {f"{k}[row]": v[n // 3][None] for k, v in grids.items()}
-    return grids | rows | {"empty_row": np.zeros((1, 0))}
+    return grids | rows | {"no_zero_row": np.array([[0.5, -1.0, 2.0]]),
+                           "empty_row": np.zeros((1, 0))}
 
 
 @pytest.mark.parametrize("n", [64, 512])
 def test_support_levels_are_np_unique(n):
-    """The levels sorted from the support box are np.unique's, zero's sign included."""
+    """The levels sorted from the support box are np.unique's, bit for bit."""
     for name, v in _level_rasters(n).items():
         want, want_counts = np.unique(v, return_counts=True)
         for counts in (False, True):
@@ -697,8 +689,7 @@ def _gate_measures(n):
         # no point in the frame: the layer cake reads an empty raster
         "outside": AtomicMeasure(np.array([[-1.0, 5.0], [5.0, 10.5], [11.0, -2.0]]),
                                  np.array([0.5, 1.0, 2.0])),
-        # points on edge-ring cells, where every gate field vanishes and a
-        # negated one holds -0.0
+        # points on edge-ring cells, where every gate field vanishes
         "on_zeros": AtomicMeasure(_edge_ring_centers(frame, rng.integers(n, size=4)),
                                   rng.uniform(0.1, 2.0, size=4)),
     }

@@ -9,8 +9,10 @@ from quasimeasure import ConfigError
 from quasimeasure.cli import main
 from quasimeasure.scenario import (
     _CHECKS,
+    _KEYS,
     _KINDS,
     Scenario,
+    _keys,
     bundled_scenario_path,
     execute_scenario,
     load_scenario,
@@ -185,9 +187,15 @@ class TestValidation:
 
     @pytest.mark.parametrize("name", sorted(_CHECKS))
     def test_check_keeps_its_name_and_docstring(self, name):
-        fn = _CHECKS[name][0]
+        fn = _CHECKS[name]
         assert fn.__name__ == f"check_{name}"
         assert fn.__doc__
+        assert _keys(fn)
+
+    def test_keys_pass_distinct_arguments(self):
+        # a function's keys are read from its signature, one per argument
+        arguments = [arg for arg, _ in _KEYS.values()]
+        assert len(set(arguments)) == len(arguments)
 
 
 class TestFieldBuilders:
@@ -338,6 +346,11 @@ class TestCli:
         ("measure_baseline", {("checks", 6, "tol"): 10 ** 400}, [], "$.checks[6].tol"),
         # the name is copied into report.json
         ("measure_baseline", {("name",): {"a": 1}}, [], "$.name"),
+        # a positive width whose cell underflows to 0, and finite cells whose
+        # area overflows
+        ("measure_baseline", {("frame", "x_max"): 5e-324}, [], "$.frame"),
+        ("measure_baseline", {("frame", "x_max"): 1e300, ("frame", "y_max"): 1e300}, [],
+         "$.frame"),
     ])
     def test_malformed_scenario_exits_2_before_any_report(self, tmp_path, capsys, name,
                                                           edits, args, where):
@@ -384,15 +397,15 @@ _SAMPLE = {
 # on a kind that does not take it; and an interior region asked to be compact
 _FOREIGN_KEYS = [
     (section, kind, key, _SAMPLE[key])
-    for section, kinds in _KINDS.items() for kind, (_, keys) in kinds.items()
-    for key in sorted({k for _, ks in kinds.values() for k in ks} - set(keys))
+    for section, kinds in _KINDS.items() for kind, fn in kinds.items()
+    for key in sorted({k for other in kinds.values() for k in _keys(other)} - set(_keys(fn)))
 ] + [("regions", "interior", "role", "compact")]
 
 
 @pytest.mark.parametrize("section, kind, key, value", _FOREIGN_KEYS)
 def test_key_a_kind_does_not_take_exits_2(tmp_path, capsys, section, kind, key, value):
     data = small_scenario_dict()
-    spec = {k: _SAMPLE[k] for k in _KINDS[section][kind][1]}
+    spec = {k: _SAMPLE[k] for k in _keys(_KINDS[section][kind])}
     if section == "artifacts":
         data["artifacts"], where = {kind: [spec]}, f"$.artifacts.{kind}[0]"
     else:
