@@ -14,18 +14,18 @@ On a raster F is an exact step function: it can only jump where t crosses a
 sampled value. Each family of measure builds it exactly, in one way:
 
 * an additive measure (density or atomic) hands out its atoms of mass as a
-  raster, and F is their layer-cake sum: the weight at each distinct value,
-  then a cumulative sum. A zero-valued atom's weight is never used, so the
-  raster is read on the box of {f != 0} alone;
+  raster: F is the cumulative sum of the mass at each distinct value, and
+  rho the sum of level * mass. A zero-valued atom's weight is never used,
+  so the raster is read on the box of {f != 0} alone;
 * a point-count measure is not additive, so its jumps are located by
   monotone bisection over the gaps between distinct sampled values, one
   mass evaluation per probe. A bracket splits at a marked point's level
   when one lies inside it, since a point leaves {f > t} exactly there, and
   every probe is a mask of the field cropped to the box of {f != 0}.
 
-Both paths sort only that box for the raster's distinct values, and add
-the zero level when a cell off the box holds it. Either way the integral
-carries no quadrature error.
+Both paths sort only that box for the distinct values, and join the zero
+level and the field's minimum. Either way the integral carries no
+quadrature error.
 """
 
 from __future__ import annotations
@@ -86,24 +86,22 @@ class DistributionFn:
     def breakpoints(self) -> list[tuple[float, float]]:
         return list(zip(self.thresholds.tolist(), self.values.tolist()))
 
-    def __call__(self, t: float) -> float:
-        """F(t)."""
+    def _lookup(self, t: float, side: str) -> float:
         if math.isinf(t):
             return 0.0 if t > 0 else self.left_limit
-        i = int(np.searchsorted(self.thresholds, t, side="right")) - 1
+        i = int(np.searchsorted(self.thresholds, t, side=side)) - 1
         return self.left_limit if i < 0 else float(self.values[i])
+
+    def __call__(self, t: float) -> float:
+        """F(t)."""
+        return self._lookup(t, "right")
 
     def left_value(self, t: float) -> float:
         """F(t-): the limit from the left."""
-        if math.isinf(t):
-            return 0.0 if t > 0 else self.left_limit
-        i = int(np.searchsorted(self.thresholds, t, side="left")) - 1
-        return self.left_limit if i < 0 else float(self.values[i])
+        return self._lookup(t, "left")
 
     def integral(self) -> float:
         """Exact integral of the step representation from its first breakpoint."""
-        if len(self.thresholds) < 2:
-            return 0.0
         return float(np.sum(self.values[:-1] * np.diff(self.thresholds)))
 
     def to_csv(self, path) -> None:
@@ -135,24 +133,24 @@ class QuasiIntegralResult:
     diagnostics: IntegrationDiagnostics
 
 
-def _support_levels(values: np.ndarray, counts: bool = False):
-    """The box of {values != 0}, and np.unique(values) from the box.
+def _support_levels(values: np.ndarray, counts: bool = False, start: float = 0.0):
+    """The box of {values != 0}, and np.unique(values) from the box, with
+    0.0 and `start` joined at count 0 where the box lacks them.
 
     Every non-zero value lies in the box, and a field's only zero is 0.0, so
-    the box's distinct values are the raster's but for the 0.0 that cells
-    off the box hold: that level is added, with count 0, when the box
-    lacks it. With `counts`, each level's count of cells comes too, from
+    the levels are the raster's but for the 0.0 that cells off the box may
+    hold. With `counts`, each level's count of cells comes too, from
     np.unique(..., return_counts=True); a zero level's count is not the
     raster's.
     """
     box = _bbox(values != 0.0) or (slice(0, 0), slice(0, 0))  # bools scan faster than floats
-    inside = values[box]
-    found = np.unique(inside, return_counts=counts)
+    found = np.unique(values[box], return_counts=counts)
     levels, n = found if counts else (found, None)
-    i = int(levels.searchsorted(0.0))
-    if inside.size < values.size and (i == len(levels) or levels[i] != 0.0):
-        levels = np.insert(levels, i, 0.0)
-        n = None if n is None else np.insert(n, i, 0)
+    for t in (start, 0.0):
+        i = int(levels.searchsorted(t))
+        if i == len(levels) or levels[i] != t:
+            levels = np.insert(levels, i, t)
+            n = None if n is None else np.insert(n, i, 0)
     return box, levels, n
 
 
@@ -250,8 +248,8 @@ class _LevelEvaluator:
 
 
 def _bisection(mu: PointCountMeasure, f: ScalarField, variant: str,
-               total: float) -> tuple[DistributionFn, int]:
-    """F by monotone bisection: the point-count measure has no atoms to sum."""
+               total: float) -> tuple[DistributionFn, float, int]:
+    """F by monotone bisection, and rho from F: a point-count measure has no atoms."""
     ev = _LevelEvaluator(mu, f, variant, total)
     levels = ev.levels
     jumps: list[tuple[float, float]] = []
@@ -261,12 +259,12 @@ def _bisection(mu: PointCountMeasure, f: ScalarField, variant: str,
         values=np.array([ev.segment_value(0)] + [v for _, v in jumps]),
         left_limit=ev.segment_value(-1),
     )
-    return F, ev.evals
+    return F, F.integral() + float(F.thresholds[0]) * F.left_limit, ev.evals
 
 
 def _layer_cake(f: ScalarField, variant: str, total: float,
-                values: np.ndarray, weights, scale: float) -> DistributionFn:
-    """F of an additive measure: cumulative sums of its atoms' masses.
+                values: np.ndarray, weights, scale: float) -> tuple[DistributionFn, float]:
+    """F of an additive measure, cumulative sums of its atoms' masses, and rho.
 
     The atoms come as a raster, read on its box of non-zero values alone: a
     zero-valued atom's mass is never used, and each non-zero level gathers
@@ -281,7 +279,9 @@ def _layer_cake(f: ScalarField, variant: str, total: float,
         unit = weights.flat[0] * scale
     else:
         unit = None
-    box, levels, mass = _support_levels(values, counts=unit is not None)
+    # The breakpoints start at the field's minimum, and F changes form at 0.
+    box, levels, mass = _support_levels(values, counts=unit is not None,
+                                        start=float(f.values.min()))
     values = values[box]
     if unit is None:
         weights = weights[box]
@@ -293,31 +293,28 @@ def _layer_cake(f: ScalarField, variant: str, total: float,
         mass = np.bincount(np.searchsorted(levels, values).ravel(),
                            weights=(weights * scale).ravel(), minlength=len(levels))
         unit = 1.0
-    # The breakpoints start at the field's minimum, and F changes form at 0.
-    a = float(f.values.min())
-    grid = np.union1d(levels, [a, 0.0])
-    at = np.zeros(len(grid), dtype=mass.dtype)  # mass of the atoms at each grid value
-    at[np.searchsorted(grid, levels)] = mass
     # A zero-valued atom lies in no {f > t} with t >= 0; variant B drops it.
-    at[grid == 0.0] = 0
-    above = np.cumsum(at[::-1])[::-1] * unit  # above[i] = mass of {f >= grid[i]}
-    F = np.append(above[1:], 0.0)  # F = mass of {f > grid[i]} on [grid[i], grid[i+1])
+    mass[levels == 0.0] = 0
+    above = np.cumsum(mass[::-1])[::-1] * unit  # above[i] = mass of {f >= levels[i]}
+    F = np.append(above[1:], 0.0)  # F = mass of {f > levels[i]} on [levels[i], levels[i+1])
     left_limit = float(above[0])
     if variant == VARIANT_A:
         # below 0, {f > t} is co-compact and holds every atom outside the frame
-        below = grid < 0
-        F[below] = total - np.cumsum(at)[below] * unit
+        below = levels < 0
+        F[below] = total - np.cumsum(mass)[below] * unit
         left_limit = total
     keep = np.flatnonzero(np.r_[True, F[1:] != F[:-1]])
-    return DistributionFn(thresholds=grid[keep], values=F[keep], left_limit=left_limit)
+    # rho = sum of level * mass, taken before a cumulative sum can drift
+    return (DistributionFn(thresholds=levels[keep], values=F[keep], left_limit=left_limit),
+            float(np.dot(levels, mass) * unit))
 
 
 def _build_distribution(
     mu: TopologicalMeasure,
     f: ScalarField,
     variant: str,
-) -> tuple[DistributionFn, int]:
-    """F and the number of mass evaluations it took."""
+) -> tuple[DistributionFn, float, int]:
+    """F, rho and the number of mass evaluations they took."""
     if variant not in (VARIANT_A, VARIANT_B):
         raise VariantError(f"unknown variant {variant!r}")
     total = mu.total_mass(f.frame)
@@ -326,7 +323,7 @@ def _build_distribution(
     atoms = mu.atoms(f)
     if atoms is None:
         return _bisection(mu, f, variant, total)
-    return _layer_cake(f, variant, total, *atoms), 0
+    return *_layer_cake(f, variant, total, *atoms), 0
 
 
 def distribution_function(
@@ -335,8 +332,7 @@ def distribution_function(
     variant: str = VARIANT_B,
 ) -> DistributionFn:
     """Distribution function of f with respect to mu, every jump exact."""
-    F, _ = _build_distribution(mu, f, variant)
-    return F
+    return _build_distribution(mu, f, variant)[0]
 
 
 def quasi_integral(
@@ -345,12 +341,11 @@ def quasi_integral(
     variant: str = VARIANT_B,
 ) -> QuasiIntegralResult:
     """rho_mu(f) via the Stieltjes formula, with the distribution attached."""
-    F, evals = _build_distribution(mu, f, variant)
+    F, value, evals = _build_distribution(mu, f, variant)
     diag = IntegrationDiagnostics(
         breakpoint_count=len(F.thresholds),
         refinement_iterations=evals,
     )
-    value = F.integral() + float(F.thresholds[0]) * F.left_limit
     return QuasiIntegralResult(value=value, distribution=F, diagnostics=diag)
 
 

@@ -232,12 +232,12 @@ class TestAdditiveExactness:
             _assert_matches_oracle(mu, fields, variant)
 
     @pytest.mark.parametrize("variant", ["A", "B"])
-    @pytest.mark.parametrize("n", [64, 128, pytest.param(512, marks=pytest.mark.xfail(
-        strict=True, reason="the float cumulative sum of many equal weights drifts: off by "
-                            "1.4e-12 (A) and 1.7e-12 (B) times sum |f| w, above the 1e-12 bound"))])
+    @pytest.mark.parametrize("n", [64, 128, 512])
     def test_two_valued_density_matches_oracle(self, n, variant):
         # the suite's next row: per-cell weights of two values, so many equal
-        # weights but not all
+        # weights but not all. At 512² the cumulative sums of F drift 1.4e-12
+        # (A) and 1.7e-12 (B) times sum |f| w: rho is read from the per-level
+        # masses, not from F
         frame, fields, _, rng = _seeded_suite(n, variant)
         d = float(rng.uniform(0.1, 2.0))
         mu = DensityMeasure(np.where(rng.random(frame.shape) < 0.5, d, 2 * d))
@@ -605,19 +605,29 @@ def _level_rasters(n):
 
 @pytest.mark.parametrize("n", [64, 512])
 def test_support_levels_are_np_unique(n):
-    """The levels sorted from the support box are np.unique's, bit for bit."""
-    for name, v in _level_rasters(n).items():
-        want, want_counts = np.unique(v, return_counts=True)
-        for counts in (False, True):
-            box, levels, got = integration._support_levels(v, counts)
-            assert repr(levels.tolist()) == repr(np.unique(v).tolist()), name
-            assert levels.dtype == want.dtype
-            assert box == (_bbox(v) or (slice(0, 0), slice(0, 0)))
-            if counts:
-                # a zero level's count is never used, and is the box's
-                assert got[levels != 0].tolist() == want_counts[want != 0].tolist()
-            else:
-                assert got is None
+    """The levels sorted from the support box are np.unique's of the raster
+    joined with start and 0.0, bit for bit; a joined level that the raster
+    lacks has count 0."""
+    rasters = _level_rasters(n)
+    for name, v in rasters.items():
+        low, high = float(v.min(initial=0.0)), float(v.max(initial=0.0))
+        # below every level, at the lowest and the highest level, and at zero
+        for start in (low - 0.25, low, high, 0.0):
+            want, want_counts = np.unique(np.r_[v.ravel(), start, 0.0], return_counts=True)
+            want_counts -= (want == start).astype(int) + (want == 0.0)  # the raster's counts
+            for counts in (False, True):
+                box, levels, got = integration._support_levels(v, counts, start)
+                assert repr(levels.tolist()) == repr(want.tolist()), (name, start)
+                assert levels.dtype == want.dtype
+                assert box == (_bbox(v) or (slice(0, 0), slice(0, 0)))
+                if counts:
+                    # a zero level's count is never used, and is the box's
+                    assert got[levels != 0].tolist() == want_counts[want != 0].tolist()
+                    assert not got[~np.isin(levels, v)].any(), (name, start)
+                else:
+                    assert got is None
+    assert integration._support_levels(rasters["no_zero_row"])[1].tolist() == [-1.0, 0.0, 0.5, 2.0]
+    assert integration._support_levels(rasters["empty_row"], start=-0.5)[1].tolist() == [-0.5, 0.0]
 
 
 def _full_frame_atoms(mu, f):
@@ -632,8 +642,9 @@ def _full_frame_atoms(mu, f):
 
 
 def _full_frame_layer_cake(f, variant, total, values, weights):
-    """The layer cake over every cell of the frame: the reference that reading
-    the support box alone must match bit for bit."""
+    """The layer cake over every cell of the frame, and rho as the sum of
+    level * mass: the reference that reading the support box alone must
+    match bit for bit."""
     if np.ndim(weights) and len(weights) and bool((weights == weights[0]).all()):
         # a cumulative sum of many equal floats drifts one way: count them instead
         weights = weights[0]
@@ -663,7 +674,7 @@ def _full_frame_layer_cake(f, variant, total, values, weights):
     keep = np.flatnonzero(np.r_[True, F[1:] != F[:-1]])
     return DistributionFn(
         thresholds=grid[keep], values=F[keep], left_limit=left_limit,
-    )
+    ), float(np.dot(grid, at) * unit)
 
 
 def _gate_measures(n):
@@ -707,13 +718,31 @@ def _edge_ring_centers(frame, k):
     ("golden", 512),
 ])
 def test_layer_cake_equals_full_frame(kind, n):
-    """Reading the cells on the support box gives the full-frame F bit for bit."""
+    """Reading the cells on the support box gives the full-frame F and rho bit
+    for bit, and variants A and B give the same rho bit for bit."""
     fields = _gate_fields(kind, n)
     for name, mu in _gate_measures(n).items():
         for f in fields:
+            values = []
             for variant in (VARIANT_A, VARIANT_B):
                 res = quasi_integral(mu, f, variant)
-                F = _full_frame_layer_cake(f, variant, mu.total_mass(f.frame),
-                                           *_full_frame_atoms(mu, f))
+                F, rho = _full_frame_layer_cake(f, variant, mu.total_mass(f.frame),
+                                                *_full_frame_atoms(mu, f))
                 _same_distribution(res.distribution, F)
-                assert repr(res.value) == repr(F.integral() + float(F.thresholds[0]) * F.left_limit), name
+                assert repr(res.value) == repr(rho), name
+                values.append(_bits(res.value))
+            assert values[0] == values[1], name
+
+
+@pytest.mark.parametrize("variant", [VARIANT_A, VARIANT_B])
+def test_layer_cake_starts_at_the_minimum(frame64, variant):
+    """F's first breakpoint is the field's minimum, also where no atom lies."""
+    p = build_plateau(None, rect_region(frame64, 2.2, 4.2, 6.2, 8.4, role="open"),
+                      1.0, 0.3)
+    q = build_plateau(None, rect_region(frame64, 5.4, 7.6, 1.8, 4.0, role="open"),
+                      1.0, 0.3)
+    h = add(p, scale(q, -2.0))
+    # one atom on p's flat top and one on q's ramp: none where h is least
+    mu = AtomicMeasure(np.array([[3.13, 7.21], [6.47, 1.95]]), np.array([1.0, 2.5]))
+    assert mu.atoms(h)[0].min() > h.values.min()
+    assert distribution_function(mu, h, variant).thresholds[0] == h.values.min()
