@@ -32,7 +32,6 @@ from .fields import (
     sup_norm,
     support_region,
     truncate,
-    zero_field,
 )
 from .grid import Frame
 from .integration import (
@@ -52,7 +51,6 @@ from .measures import (
     tm_eval,
 )
 from .reconstruct import (
-    BumpSchedule,
     ReconstructionReport,
     RoundTripEntry,
     mu_rho_compact,
@@ -65,17 +63,16 @@ from .scenario import Scenario, execute_scenario, load_scenario, run_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicMeasure", "BumpSchedule", "ConfigError", "DensityMeasure",
-    "DistributionFn", "DomainError", "Frame", "FrameError",
-    "FrameMismatchError", "GeometryError", "InfiniteMeasureError",
-    "PiecewiseLinearMap", "PointCountMeasure", "QuasiIntegral",
-    "QuasiIntegralResult", "QuasimeasureError", "ReconstructionReport",
-    "Region", "RoundTripEntry", "ScalarField", "Scenario", "TieBreakError",
-    "TopologicalMeasure", "VariantError", "add", "build_plateau", "compose",
-    "dilate", "distribution_function", "empty_region", "erode",
-    "execute_scenario", "field_to_csv", "frame_interior", "interval_mass",
-    "linear_oracle", "load_scenario", "mu_rho_compact", "mu_rho_open",
-    "neg_part", "pos_part", "quasi_integral", "rect_region", "roundtrip",
-    "run_scenario", "scale", "sup_distance", "sup_norm", "support_region",
-    "tm_eval", "truncate", "zero_field",
+    "AtomicMeasure", "ConfigError", "DensityMeasure", "DistributionFn",
+    "DomainError", "Frame", "FrameError", "FrameMismatchError",
+    "GeometryError", "InfiniteMeasureError", "PiecewiseLinearMap",
+    "PointCountMeasure", "QuasiIntegral", "QuasiIntegralResult",
+    "QuasimeasureError", "ReconstructionReport", "Region", "RoundTripEntry",
+    "ScalarField", "Scenario", "TieBreakError", "TopologicalMeasure",
+    "VariantError", "add", "build_plateau", "compose", "dilate",
+    "distribution_function", "empty_region", "erode", "execute_scenario",
+    "field_to_csv", "frame_interior", "interval_mass", "linear_oracle",
+    "load_scenario", "mu_rho_compact", "mu_rho_open", "neg_part", "pos_part",
+    "quasi_integral", "rect_region", "roundtrip", "run_scenario", "scale",
+    "sup_distance", "sup_norm", "support_region", "tm_eval", "truncate",
 ]

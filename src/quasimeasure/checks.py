@@ -32,7 +32,7 @@ from .grid import Frame
 from .integration import QuasiIntegral, interval_mass, linear_oracle, quasi_integral
 from .measures import POINT_COUNT, TopologicalMeasure, tm_eval
 from .presets import crossing_fields, crossing_measure, standard_frame
-from .reconstruct import BumpSchedule, _default_rt_tol, roundtrip
+from .reconstruct import _default_rt_tol, roundtrip
 from .regions import (COMPACT, OPEN, Region, dilate, empty_region, erode, frame_interior,
                       rect_region)
 
@@ -502,13 +502,13 @@ def check_linear_agreement(mu: TopologicalMeasure, f: ScalarField,
 
 
 def check_roundtrip(mu: TopologicalMeasure, catalog,
-                    schedule: BumpSchedule | None = None,
+                    max_steps: int = 8,
                     rt_tol: float | None = None) -> CheckReport:
     """Reconstruction recovers tm_eval over the catalog."""
     if not catalog:
         raise ValueError("the catalog must name at least one region")
     report = CheckReport()
-    entries = roundtrip(mu, catalog, schedule, rt_tol)
+    entries = roundtrip(mu, catalog, max_steps, rt_tol)
     per_region = {}
     for e in entries:
         report.trials += 1
@@ -544,7 +544,7 @@ def check_extension_consistency(mu: TopologicalMeasure, f: ScalarField,
     for n in ns:
         delta = 1.0 / n
         low = truncate(f, delta)
-        rho_tail = quasi_integral(mu, f + scale(low, -1.0)).value
+        rho_tail = quasi_integral(mu, add(f, scale(low, -1.0))).value
         gap = abs(rho_f - rho_tail)
         bound = sup_norm(low) * total + tol
         tails.append(rho_tail)

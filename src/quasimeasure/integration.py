@@ -82,10 +82,6 @@ class DistributionFn:
         object.__setattr__(self, "thresholds", t)
         object.__setattr__(self, "values", v)
 
-    @property
-    def breakpoints(self) -> list[tuple[float, float]]:
-        return list(zip(self.thresholds.tolist(), self.values.tolist()))
-
     def _lookup(self, t: float, side: str) -> float:
         if math.isinf(t):
             return 0.0 if t > 0 else self.left_limit
@@ -304,9 +300,10 @@ def _layer_cake(f: ScalarField, variant: str, total: float,
         F[below] = total - np.cumsum(mass)[below] * unit
         left_limit = total
     keep = np.flatnonzero(np.r_[True, F[1:] != F[:-1]])
-    # rho = sum of level * mass, taken before a cumulative sum can drift
+    # rho = sum of level * mass, taken before a cumulative sum can drift, by
+    # numpy's pairwise sum: a BLAS dot product's bits depend on the CPU
     return (DistributionFn(thresholds=levels[keep], values=F[keep], left_limit=left_limit),
-            float(np.dot(levels, mass) * unit))
+            float(np.sum(levels * mass) * unit))
 
 
 def _build_distribution(

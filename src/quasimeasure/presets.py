@@ -49,7 +49,7 @@ def crossing_measure() -> PointCountMeasure:
 
 
 def crossing_regions(frame: Frame) -> dict[str, Region]:
-    """Named regions of the configuration, including the round-trip catalog."""
+    """Named regions of the configuration."""
     K = rect_region(frame, *RECT_K, role=COMPACT)
     C = rect_region(frame, *RECT_C, role=COMPACT)
     return {
@@ -75,10 +75,3 @@ def crossing_fields(frame: Frame, height: float = 1.0) -> tuple[ScalarField, Sca
 def crossing_sum(frame: Frame, height: float = 1.0) -> ScalarField:
     f, g = crossing_fields(frame, height)
     return add(f, g)
-
-
-def roundtrip_catalog(frame: Frame) -> dict[str, Region]:
-    """Six regions whose measure the reconstruction must recover exactly."""
-    regions = crossing_regions(frame)
-    return {name: regions[name]
-            for name in ("K", "C", "core", "side_pocket", "interior", "empty")}

@@ -20,23 +20,6 @@ from .regions import COMPACT, OPEN, Region, dilate
 
 
 @dataclass(frozen=True)
-class BumpSchedule:
-    """Radii max_steps, ..., 2, 1 (in cells) toward the target.
-
-    At radius k the ramp is k * min_cell wide. A cell of the support's k-cell
-    erosion lies at least (k + 1) * min_cell from the complement, so the
-    plateau is one there: on the eroded open target, and on the compact
-    target inside its k-cell dilation.
-    """
-
-    max_steps: int = 8
-
-    def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-
-
-@dataclass(frozen=True)
 class ReconstructionReport:
     """Trace of rho along the plateau schedule for one target region."""
 
@@ -57,7 +40,7 @@ def _default_rt_tol(mu: TopologicalMeasure) -> float:
 
 
 def mu_rho_open(rho: QuasiIntegral, U: Region,
-                schedule: BumpSchedule | None = None,
+                max_steps: int = 8,
                 rt_tol: float | None = None) -> ReconstructionReport:
     """sup of rho over plateaus supported inside the open region U.
 
@@ -67,11 +50,11 @@ def mu_rho_open(rho: QuasiIntegral, U: Region,
     """
     if U.role != OPEN:
         raise GeometryError("mu_rho_open expects an open-role region")
-    return _schedule(rho, U, schedule, rt_tol)
+    return _schedule(rho, U, max_steps, rt_tol)
 
 
 def mu_rho_compact(rho: QuasiIntegral, K: Region,
-                   schedule: BumpSchedule | None = None,
+                   max_steps: int = 8,
                    rt_tol: float | None = None) -> ReconstructionReport:
     """inf of rho over plateaus equal to one on the compact region K.
 
@@ -82,14 +65,22 @@ def mu_rho_compact(rho: QuasiIntegral, K: Region,
     """
     if K.role != COMPACT:
         raise GeometryError("mu_rho_compact expects a compact-role region")
-    return _schedule(rho, K, schedule, rt_tol)
+    return _schedule(rho, K, max_steps, rt_tol)
 
 
-def _schedule(rho: QuasiIntegral, target: Region, schedule: BumpSchedule | None,
+def _schedule(rho: QuasiIntegral, target: Region, max_steps: int,
               rt_tol: float | None) -> ReconstructionReport:
     """rho of the unit ramp over each radius's support; sup for an open
-    target, inf for a compact one."""
-    schedule = schedule or BumpSchedule()
+    target, inf for a compact one.
+
+    The radii are max_steps, ..., 2, 1 (in cells) toward the target. At
+    radius k the ramp is k * min_cell wide. A cell of the support's k-cell
+    erosion lies at least (k + 1) * min_cell from the complement, so the
+    plateau is one there: on the eroded open target, and on the compact
+    target inside its k-cell dilation.
+    """
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
     rt_tol = _default_rt_tol(rho.mu) if rt_tol is None else rt_tol
     if target.is_empty:
         return ReconstructionReport((), 0.0, True, True)
@@ -97,7 +88,7 @@ def _schedule(rho: QuasiIntegral, target: Region, schedule: BumpSchedule | None,
     is_open = target.role == OPEN
     box, dist = distance_map(target) if is_open else (None, None)
     trace = []
-    for k in range(schedule.max_steps, 0, -1):
+    for k in range(max_steps, 0, -1):
         if not is_open:
             try:
                 box, dist = distance_map(dilate(target, k).with_role(OPEN))
@@ -129,7 +120,7 @@ class RoundTripEntry:
 
 
 def roundtrip(mu: TopologicalMeasure, catalog: dict[str, Region],
-              schedule: BumpSchedule | None = None,
+              max_steps: int = 8,
               rt_tol: float | None = None) -> list[RoundTripEntry]:
     """Compare tm_eval with the reconstruction estimate over a named region catalog."""
     rho = QuasiIntegral(mu)
@@ -138,7 +129,7 @@ def roundtrip(mu: TopologicalMeasure, catalog: dict[str, Region],
     for name, region in catalog.items():
         measured = tm_eval(mu, region)
         estimator = mu_rho_open if region.role == OPEN else mu_rho_compact
-        report = estimator(rho, region, schedule, rt_tol)
+        report = estimator(rho, region, max_steps, rt_tol)
         gap = abs(measured - report.estimate)
         entries.append(RoundTripEntry(
             name=name, measured=measured, reconstructed=report.estimate, gap=gap,

@@ -85,15 +85,6 @@ class Region:
         self._check_frame(other)
         return bool(np.all(~self.mask | other.mask))
 
-    def __eq__(self, other):
-        if not isinstance(other, Region):
-            return NotImplemented
-        return (
-            self.frame == other.frame
-            and self.role == other.role
-            and bool(np.array_equal(self.mask, other.mask))
-        )
-
 
 def rect_region(frame: Frame, x0: float, x1: float, y0: float, y1: float,
                 role: str = COMPACT) -> Region:

@@ -27,7 +27,7 @@ from .fields import add, build_plateau, field_to_csv, scale, truncate
 from .grid import Frame
 from .integration import QuasiIntegral, distribution_function
 from .measures import AtomicMeasure, DensityMeasure, PointCountMeasure
-from .reconstruct import BumpSchedule, mu_rho_compact, mu_rho_open
+from .reconstruct import mu_rho_compact, mu_rho_open
 from .regions import COMPACT, OPEN, Region, empty_region, frame_interior, rect_region
 
 _FRAME_KEYS = {"x_min", "x_max", "y_min", "y_max", "nx", "ny"}
@@ -128,10 +128,10 @@ def _one_of(*options: str):
 _variant, _role = _one_of("A", "B"), _one_of(OPEN, COMPACT)
 
 
-def _schedule(scenario, value, path: str) -> BumpSchedule:
-    max_steps = _int(scenario, value, path)
-    with _built_at(path):
-        return BumpSchedule(max_steps=max_steps)
+def _max_steps(scenario, value, path: str) -> int:
+    if _int(scenario, value, path) < 1:
+        _fail(path, f"expected an integer >= 1, got {value!r}")
+    return value
 
 
 def _ref(section: str):
@@ -225,7 +225,7 @@ _KEYS = {
     "region": ("region", _region),
     "heights": ("heights", _floats), "coeffs": ("coeffs", _floats),
     "ns": ("ns", _floats), "trials": ("trials", _int), "tol": ("tol", _float),
-    "rt_tol": ("rt_tol", _float), "max_steps": ("schedule", _schedule),
+    "rt_tol": ("rt_tol", _float), "max_steps": ("max_steps", _max_steps),
     "variant": ("variant", _variant),
     "density": ("density", _float), "unbounded": ("unbounded", _bool),
     "points": ("points", _points), "value_by_count": ("value_by_count", _floats),
@@ -364,6 +364,14 @@ class Scenario:
         for i, name in enumerate(_expect(art.get("fields", []), list, "$.artifacts.fields")):
             path = f"$.artifacts.fields[{i}]"
             bound.append((path, f"field_{name}.csv", _field_csv, {"f": _field(self, name, path)}))
+        # each CSV goes to its own file in the output directory
+        seen = set()
+        for path, csv, *_ in bound:
+            if csv != Path(csv).name or "\0" in csv:
+                _fail(path, f"artifact file name {csv!r} is not a plain file name")
+            if csv in seen:
+                _fail(path, f"artifact file name {csv!r} is taken by an earlier artifact")
+            seen.add(csv)
         return bound
 
 

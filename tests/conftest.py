@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from quasimeasure import AtomicMeasure, DensityMeasure, Frame, Region
+from quasimeasure import (
+    AtomicMeasure,
+    DensityMeasure,
+    Frame,
+    PiecewiseLinearMap,
+    Region,
+    ScalarField,
+)
 from quasimeasure.grid import edge_cells
 from quasimeasure.presets import (
     crossing_fields,
@@ -9,6 +16,34 @@ from quasimeasure.presets import (
     crossing_regions,
     standard_frame,
 )
+
+# -- helpers the package does not need: tests import them from here --------
+
+
+def roundtrip_catalog(frame: Frame) -> dict[str, Region]:
+    """Six regions whose measure the reconstruction must recover exactly."""
+    regions = crossing_regions(frame)
+    return {name: regions[name]
+            for name in ("K", "C", "core", "side_pocket", "interior", "empty")}
+
+
+def zero_field(frame: Frame) -> ScalarField:
+    return ScalarField(frame, np.zeros(frame.shape))
+
+
+def truncation(delta: float, lo: float, hi: float) -> PiecewiseLinearMap:
+    """min(x, delta) on [lo, hi]; requires lo <= 0 < delta < hi."""
+    return PiecewiseLinearMap(np.array([[lo, lo], [delta, delta], [hi, delta]]))
+
+
+def breakpoints(F) -> list[tuple[float, float]]:
+    """F's (threshold, value) pairs."""
+    return list(zip(F.thresholds.tolist(), F.values.tolist()))
+
+
+def same_region(a: Region, b: Region) -> bool:
+    """Equal frames, roles and masks."""
+    return a.frame == b.frame and a.role == b.role and bool(np.array_equal(a.mask, b.mask))
 
 
 @pytest.fixture(scope="session")

@@ -28,13 +28,10 @@ from quasimeasure.checks import (
     check_sga_additivity,
     check_tm_axioms,
 )
-from quasimeasure.presets import (
-    crossing_measure,
-    crossing_sum,
-    roundtrip_catalog,
-    standard_frame,
-)
-from quasimeasure.reconstruct import BumpSchedule, roundtrip
+from quasimeasure.presets import crossing_measure, crossing_sum, standard_frame
+from quasimeasure.reconstruct import roundtrip
+
+from conftest import roundtrip_catalog
 
 
 def _verdict(number: int, label: str, ok: bool, detail: str = ""):
@@ -74,8 +71,7 @@ def test_criterion_2_linear_baseline_512():
 def test_criterion_3_roundtrip_catalog():
     frame = standard_frame(64)
     mu = crossing_measure()
-    entries = roundtrip(mu, roundtrip_catalog(frame),
-                        schedule=BumpSchedule(max_steps=8), rt_tol=1e-9)
+    entries = roundtrip(mu, roundtrip_catalog(frame), max_steps=8, rt_tol=1e-9)
     worst = max(e.gap for e in entries)
     ok = (len(entries) == 6 and worst <= 1e-9
           and all(e.report.converged for e in entries)

@@ -3,19 +3,18 @@
 import quasimeasure
 
 PUBLIC = [
-    "AtomicMeasure", "BumpSchedule", "ConfigError", "DensityMeasure",
-    "DistributionFn", "DomainError", "Frame", "FrameError",
-    "FrameMismatchError", "GeometryError", "InfiniteMeasureError",
-    "PiecewiseLinearMap", "PointCountMeasure", "QuasiIntegral",
-    "QuasiIntegralResult", "QuasimeasureError", "ReconstructionReport",
-    "Region", "RoundTripEntry", "ScalarField", "Scenario", "TieBreakError",
-    "TopologicalMeasure", "VariantError", "add", "build_plateau", "compose",
-    "dilate", "distribution_function", "empty_region", "erode",
-    "execute_scenario", "field_to_csv", "frame_interior", "interval_mass",
-    "linear_oracle", "load_scenario", "mu_rho_compact", "mu_rho_open",
-    "neg_part", "pos_part", "quasi_integral", "rect_region", "roundtrip",
-    "run_scenario", "scale", "sup_distance", "sup_norm", "support_region",
-    "tm_eval", "truncate", "zero_field",
+    "AtomicMeasure", "ConfigError", "DensityMeasure", "DistributionFn",
+    "DomainError", "Frame", "FrameError", "FrameMismatchError",
+    "GeometryError", "InfiniteMeasureError", "PiecewiseLinearMap",
+    "PointCountMeasure", "QuasiIntegral", "QuasiIntegralResult",
+    "QuasimeasureError", "ReconstructionReport", "Region", "RoundTripEntry",
+    "ScalarField", "Scenario", "TieBreakError", "TopologicalMeasure",
+    "VariantError", "add", "build_plateau", "compose", "dilate",
+    "distribution_function", "empty_region", "erode", "execute_scenario",
+    "field_to_csv", "frame_interior", "interval_mass", "linear_oracle",
+    "load_scenario", "mu_rho_compact", "mu_rho_open", "neg_part", "pos_part",
+    "quasi_integral", "rect_region", "roundtrip", "run_scenario", "scale",
+    "sup_distance", "sup_norm", "support_region", "tm_eval", "truncate",
 ]
 
 

@@ -18,7 +18,6 @@ from quasimeasure import (
     support_region,
     tm_eval,
     truncate,
-    zero_field,
 )
 from quasimeasure.checks import (
     check_disjoint_support_additivity,
@@ -33,7 +32,9 @@ from quasimeasure.checks import (
     check_sga_additivity,
     check_tm_axioms,
 )
-from quasimeasure.presets import roundtrip_catalog, standard_frame
+from quasimeasure.presets import standard_frame
+
+from conftest import roundtrip_catalog, truncation, zero_field
 
 
 class TestNonlinearityExample:
@@ -81,7 +82,7 @@ class TestGoldenPairRho:
     def test_truncation_split(self, crossing, golden_pair):
         rho = QuasiIntegral(crossing)
         ident = PiecewiseLinearMap.identity(-0.5, 1.5)
-        clip = PiecewiseLinearMap.truncation(0.5, -0.5, 1.5)
+        clip = truncation(0.5, -0.5, 1.5)
         low, high = compose(clip, golden_pair[0]), compose(ident - clip, golden_pair[0])
         assert (rho(low), rho(high), rho(add(low, high))) == (0.5, 0.5, 1.0)
 

@@ -6,7 +6,6 @@ from scipy import ndimage
 
 from quasimeasure import (
     AtomicMeasure,
-    BumpSchedule,
     DensityMeasure,
     Frame,
     FrameError,
@@ -26,9 +25,11 @@ from quasimeasure import (
     roundtrip,
     tm_eval,
 )
-from quasimeasure.presets import VALUE_BY_COUNT, roundtrip_catalog, standard_frame
+from quasimeasure.presets import VALUE_BY_COUNT, standard_frame
 from quasimeasure.reconstruct import _default_rt_tol
 from quasimeasure.regions import COMPACT, OPEN
+
+from conftest import roundtrip_catalog
 
 
 class TestBumpSchedule:
@@ -37,12 +38,12 @@ class TestBumpSchedule:
         rho = QuasiIntegral(crossing)
         report = mu_rho_open(rho, regions64["interior"])
         assert [k for k, _ in report.trace] == [8, 7, 6, 5, 4, 3, 2, 1]
-        report = mu_rho_open(rho, regions64["interior"], BumpSchedule(max_steps=3))
+        report = mu_rho_open(rho, regions64["interior"], max_steps=3)
         assert [k for k, _ in report.trace] == [3, 2, 1]
 
-    def test_validation(self):
+    def test_validation(self, crossing, regions64):
         with pytest.raises(ValueError):
-            BumpSchedule(max_steps=0)
+            mu_rho_open(QuasiIntegral(crossing), regions64["interior"], max_steps=0)
 
 
 class TestOpenEstimator:
@@ -102,13 +103,13 @@ class TestCompactEstimator:
     def test_infeasible_steps_are_skipped(self, frame64, crossing, regions64):
         # dilation by 8 cells exits the frame for this region; later steps fit
         report = mu_rho_compact(QuasiIntegral(crossing), regions64["K"])
-        assert len(report.trace) < BumpSchedule().max_steps
+        assert len(report.trace) < 8
         assert report.converged
 
     def test_all_steps_exit_frame(self, frame64, crossing):
         K = rect_region(frame64, 0.05, 9.95, 0.05, 9.95, role="compact")
         with pytest.raises(FrameError):
-            mu_rho_compact(QuasiIntegral(crossing), K, BumpSchedule(max_steps=3))
+            mu_rho_compact(QuasiIntegral(crossing), K, max_steps=3)
 
     def test_wrong_role_rejected(self, frame64, crossing, regions64):
         with pytest.raises(GeometryError):
@@ -182,16 +183,15 @@ class _RefReport:
     converged: bool
 
 
-def _ref_mu_rho_open(rho, U, schedule=None, rt_tol=None):
+def _ref_mu_rho_open(rho, U, max_steps=8, rt_tol=None):
     if U.role != OPEN:
         raise GeometryError("mu_rho_open expects an open-role region")
-    schedule = schedule or BumpSchedule()
     rt_tol = _default_rt_tol(rho.mu) if rt_tol is None else rt_tol
     if U.is_empty:
         return _RefReport(U, "open", (), 0.0, True, True)
     min_cell = U.frame.min_cell
     trace = []
-    for k in range(schedule.max_steps, 0, -1):
+    for k in range(max_steps, 0, -1):
         inner = erode(U, k)
         try:
             bump = build_plateau(inner, U, 1.0, k * min_cell)
@@ -208,16 +208,15 @@ def _ref_mu_rho_open(rho, U, schedule=None, rt_tol=None):
     )
 
 
-def _ref_mu_rho_compact(rho, K, schedule=None, rt_tol=None):
+def _ref_mu_rho_compact(rho, K, max_steps=8, rt_tol=None):
     if K.role != COMPACT:
         raise GeometryError("mu_rho_compact expects a compact-role region")
-    schedule = schedule or BumpSchedule()
     rt_tol = _default_rt_tol(rho.mu) if rt_tol is None else rt_tol
     if K.is_empty:
         return _RefReport(K, "compact", (), 0.0, True, True)
     min_cell = K.frame.min_cell
     trace = []
-    for k in range(schedule.max_steps, 0, -1):
+    for k in range(max_steps, 0, -1):
         try:
             outer = dilate(K, k).with_role(OPEN)
             bump = build_plateau(K, outer, 1.0, k * min_cell)
@@ -298,9 +297,9 @@ def _target_mask(shape_kind, frame, rng, edge_gap):
     return mask
 
 
-def _outcome(estimator, rho, region, schedule, rt_tol):
+def _outcome(estimator, rho, region, max_steps, rt_tol):
     try:
-        r = estimator(rho, region, schedule, rt_tol)
+        r = estimator(rho, region, max_steps, rt_tol)
     except QuasimeasureError as exc:
         return type(exc)
     return r.trace, r.estimate, r.monotone, r.converged
@@ -316,7 +315,7 @@ def test_schedule_equals_per_radius_plateaus(frame_name, measure_kind):
     for i in range(24):
         shape_kind = ("components", "holes", "strips", "edge")[i % 4]
         mask = _target_mask(shape_kind, frame, rng, edge_gap=(i // 4) % 5)
-        schedule = BumpSchedule(max_steps=1 + i % 8)
+        max_steps = 1 + i % 8
         rt_tol = (None, 0.0)[(i // 8) % 2]
         if shape_kind == "edge":
             K = Region(frame, mask, COMPACT)
@@ -326,10 +325,10 @@ def test_schedule_equals_per_radius_plateaus(frame_name, measure_kind):
             pair = [(mu_rho_open, _ref_mu_rho_open, Region(frame, mask, OPEN)),
                     (mu_rho_compact, _ref_mu_rho_compact, Region(frame, mask, COMPACT))]
         for new, ref, region in pair:
-            got = _outcome(new, rho, region, schedule, rt_tol)
-            want = _outcome(ref, rho, region, schedule, rt_tol)
-            assert got == want, (shape_kind, region.role, schedule.max_steps)
-            outcomes.append((region.role, schedule.max_steps, got))
+            got = _outcome(new, rho, region, max_steps, rt_tol)
+            want = _outcome(ref, rho, region, max_steps, rt_tol)
+            assert got == want, (shape_kind, region.role, max_steps)
+            outcomes.append((region.role, max_steps, got))
     # the seeded targets reach the compact side's skipped steps and its error
     assert any(got is FrameError for _, _, got in outcomes)
     assert any(role == COMPACT and got is not FrameError and len(got[0]) < steps
@@ -349,8 +348,7 @@ def _full_frame_distance_map(outer):
     return ndimage.distance_transform_edt(outer.mask, sampling=(frame.dy, frame.dx))
 
 
-def _full_frame_schedule(rho, target, schedule=None, rt_tol=None):
-    schedule = schedule or BumpSchedule()
+def _full_frame_schedule(rho, target, max_steps=8, rt_tol=None):
     rt_tol = _default_rt_tol(rho.mu) if rt_tol is None else rt_tol
     if target.is_empty:
         return (), 0.0, True, True
@@ -358,7 +356,7 @@ def _full_frame_schedule(rho, target, schedule=None, rt_tol=None):
     is_open = target.role == OPEN
     dist = _full_frame_distance_map(target) if is_open else None
     trace = []
-    for k in range(schedule.max_steps, 0, -1):
+    for k in range(max_steps, 0, -1):
         if not is_open:
             try:
                 dist = _full_frame_distance_map(dilate(target, k).with_role(OPEN))
@@ -387,7 +385,7 @@ def _full_frame_outcome(rho, region):
 
 def _box_outcome(rho, region):
     return _outcome(mu_rho_open if region.role == OPEN else mu_rho_compact,
-                    rho, region, None, None)
+                    rho, region, 8, None)
 
 
 def _edge_gap_targets(frame):

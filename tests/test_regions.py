@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from conftest import same_region
 from test_topology_kernel import kernel_parts
 
 from quasimeasure import (
@@ -137,9 +138,10 @@ def full_frame_dilate(r, k):
 
 def _outcome(op, r, k):
     try:
-        return op(r, k)
+        out = op(r, k)
     except FrameError:
         return FrameError
+    return out.frame, out.role, out.mask.tobytes()
 
 
 class TestMorphology:
@@ -147,7 +149,7 @@ class TestMorphology:
     def test_box_crop_equals_the_full_frame(self, gate_masks, k):
         exits = 0
         for r in gate_masks:
-            assert erode(r, k) == full_frame_erode(r, k)
+            assert _outcome(erode, r, k) == _outcome(full_frame_erode, r, k)
             want = _outcome(full_frame_dilate, r, k)
             assert _outcome(dilate, r, k) == want
             exits += want is FrameError
@@ -165,8 +167,7 @@ class TestMorphology:
 
     def test_zero_radius_is_identity(self, frame64):
         r = frame_interior(frame64)
-        assert erode(r, 0) == r
-        assert dilate(r, 0) == r
+        assert same_region(erode(r, 0), r) and same_region(dilate(r, 0), r)
 
     def test_erode_then_dilate_shrinks(self, frame64):
         r = rect_region(frame64, 2, 6, 2, 6, role="compact")

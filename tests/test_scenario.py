@@ -1,6 +1,8 @@
 import copy
+import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,12 +170,6 @@ class TestValidation:
         p.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_scenario(p)
-
-    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
-        p = tmp_path / "bad.json"
-        p.write_bytes(b'\xff\xfe{"frame": 1}')
-        assert main(["run", str(p)]) == 2
-        assert "configuration error" in capsys.readouterr().err
 
     def test_b_is_an_unknown_key(self):
         data = small_scenario_dict()
@@ -351,6 +347,22 @@ class TestCli:
         ("measure_baseline", {("frame", "x_max"): 5e-324}, [], "$.frame"),
         ("measure_baseline", {("frame", "x_max"): 1e300, ("frame", "y_max"): 1e300}, [],
          "$.frame"),
+        # each CSV is a plain file name of its own: no path, and no name that
+        # another artifact, of another variant or split, resolves to
+        ("measure_baseline", {("measures", "a/b"): {"kind": "density", "density": 1.0},
+                              ("artifacts", "distributions", 1, "measure"): "a/b"}, [],
+         "$.artifacts.distributions[1]"),
+        ("measure_baseline", {("measures", "a\0"): {"kind": "density", "density": 1.0},
+                              ("artifacts", "distributions", 1, "measure"): "a\0"}, [],
+         "$.artifacts.distributions[1]"),
+        ("measure_baseline", {("artifacts", "distributions", 1): {
+            "measure": "lebesgue", "field": "tent", "variant": "A"}}, [],
+         "$.artifacts.distributions[1]"),
+        ("measure_baseline", {("measures", "lebesgue_half"): {"kind": "density", "density": 1.0},
+                              ("artifacts", "distributions", 0, "field"): "half_tent",
+                              ("artifacts", "distributions", 1): {
+                                  "measure": "lebesgue_half", "field": "tent"}}, [],
+         "$.artifacts.distributions[1]"),
     ])
     def test_malformed_scenario_exits_2_before_any_report(self, tmp_path, capsys, name,
                                                           edits, args, where):
@@ -417,6 +429,58 @@ def test_key_a_kind_does_not_take_exits_2(tmp_path, capsys, section, kind, key, 
     p.write_text(json.dumps(data))
     assert main(["run", str(p)]) == 2
     assert f"{where}: " in capsys.readouterr().err
+
+
+_SCENARIO_DIR = Path(__file__).parent / "scenarios"
+
+
+def _csv_rows(path):
+    return list(csv.reader(path.open()))
+
+
+def _outside_atoms(out):
+    # no atom in the frame: the layer cake and the linear oracle get an empty raster
+    assert (out / "distribution_away_tent.csv").stat().st_size > 0
+
+
+def _negated_field(out):
+    assert (out / "distribution_lebesgue_neg.csv").stat().st_size > 0
+    assert "-0.0" not in {v for row in _csv_rows(out / "field_neg.csv") for v in row}
+
+
+def _spikes_neg(out):
+    # atoms that miss the minimum of a negated field still start F there,
+    # and variants A and B give the same rho
+    first = float(_csv_rows(out / "distribution_spikes_neg.csv")[3][0])
+    assert first == min(float(row[2]) for row in _csv_rows(out / "field_neg.csv")[1:])
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    a, b = (checks[k]["details"]["quasi_integral"]
+            for k in ("linear_agreement", "linear_agreement_2"))
+    assert a == b
+
+
+# file stem -> (exit code, text the run prints, check of its output directory)
+_SCENARIO_FILES = {
+    "outside_atoms": (0, "all checks passed", _outside_atoms),
+    "negated_field": (0, "all checks passed", _negated_field),
+    "spikes_neg": (0, "all checks passed", _spikes_neg),
+    "compact_interior": (2, "$.regions.", None),
+    "not_utf8": (2, "configuration error", None),
+    # two distributions that differ only in variant would write one file
+    "variant_pair": (2, "$.artifacts.distributions[1]: ", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in _SCENARIO_DIR.glob("*.json")))
+def test_scenario_file(tmp_path, capsys, name):
+    """The scenario files that CI also runs through the installed entry point."""
+    code, text, check = _SCENARIO_FILES[name]
+    out = tmp_path / "out"
+    assert main(["run", str(_SCENARIO_DIR / f"{name}.json"), "--out", str(out)]) == code
+    printed = capsys.readouterr()
+    assert text in printed.out + printed.err
+    if check is not None:
+        check(out)
 
 
 def _set_leaf(data, keys, value):
