@@ -24,7 +24,6 @@ from .fields import (
     add,
     build_plateau,
     compose,
-    field_to_csv,
     neg_part,
     pos_part,
     scale,
@@ -71,8 +70,8 @@ __all__ = [
     "ScalarField", "Scenario", "TieBreakError", "TopologicalMeasure",
     "VariantError", "add", "build_plateau", "compose", "dilate",
     "distribution_function", "empty_region", "erode", "execute_scenario",
-    "field_to_csv", "frame_interior", "interval_mass", "linear_oracle",
-    "load_scenario", "mu_rho_compact", "mu_rho_open", "neg_part", "pos_part",
-    "quasi_integral", "rect_region", "roundtrip", "run_scenario", "scale",
-    "sup_distance", "sup_norm", "support_region", "tm_eval", "truncate",
+    "frame_interior", "interval_mass", "linear_oracle", "load_scenario",
+    "mu_rho_compact", "mu_rho_open", "neg_part", "pos_part", "quasi_integral",
+    "rect_region", "roundtrip", "run_scenario", "scale", "sup_distance",
+    "sup_norm", "support_region", "tm_eval", "truncate",
 ]

@@ -83,7 +83,8 @@ class PiecewiseLinearMap:
     knots: np.ndarray  # (m, 2), x strictly increasing, domain contains 0
 
     def __post_init__(self):
-        knots = np.ascontiguousarray(np.asarray(self.knots, dtype=float))
+        # a copy: the caller's knots stay writeable
+        knots = np.array(self.knots, dtype=float, order="C")
         if knots.ndim != 2 or knots.shape[1] != 2 or knots.shape[0] < 2:
             raise ValueError("knots must be an (m >= 2, 2) array")
         xs = knots[:, 0]
@@ -114,7 +115,8 @@ class PiecewiseLinearMap:
     def identity(cls, lo: float, hi: float) -> "PiecewiseLinearMap":
         return cls(np.array([[lo, lo], [hi, hi]]))
 
-    def __add__(self, other):
+    def __sub__(self, other):
+        """self - other on the intersection of their domains."""
         if not isinstance(other, PiecewiseLinearMap):
             return NotImplemented
         lo = max(self.knots[0, 0], other.knots[0, 0])
@@ -123,18 +125,10 @@ class PiecewiseLinearMap:
             raise DomainError("maps have disjoint domains")
         xs = np.union1d(self.knots[:, 0], other.knots[:, 0])
         xs = xs[(xs >= lo) & (xs <= hi)]
-        ys = np.interp(xs, self.knots[:, 0], self.knots[:, 1]) + np.interp(
+        ys = np.interp(xs, self.knots[:, 0], self.knots[:, 1]) - np.interp(
             xs, other.knots[:, 0], other.knots[:, 1]
         )
         return PiecewiseLinearMap(np.column_stack([xs, ys]))
-
-    def __neg__(self):
-        return PiecewiseLinearMap(np.column_stack([self.knots[:, 0], -self.knots[:, 1]]))
-
-    def __sub__(self, other):
-        if not isinstance(other, PiecewiseLinearMap):
-            return NotImplemented
-        return self + (-other)
 
 
 # -- constructors -------------------------------------------------------
@@ -272,16 +266,3 @@ def support_region(f: ScalarField) -> Region:
     # a field vanishes on the edge ring, so the core never touches it and
     # one ring of dilation stays inside the frame
     return dilate(core, 1)
-
-
-# -- export ---------------------------------------------------------------
-
-
-def field_to_csv(f: ScalarField, path) -> None:
-    """Dump as x,y,value rows at cell centers."""
-    xx, yy = f.frame.center_grids()
-    data = np.column_stack([xx.ravel(), yy.ravel(), f.values.ravel()])
-    with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for x, y, v in data:
-            fh.write(f"{float(x)!r},{float(y)!r},{float(v)!r}\n")

@@ -100,14 +100,6 @@ class DistributionFn:
         """Exact integral of the step representation from its first breakpoint."""
         return float(np.sum(self.values[:-1] * np.diff(self.thresholds)))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("# right-continuous step function: F(t) = F_i on [t_i, t_{i+1})\n")
-            fh.write(f"# left limit below first breakpoint: {float(self.left_limit)!r}\n")
-            fh.write("t,F\n")
-            for t, v in zip(self.thresholds, self.values):
-                fh.write(f"{float(t)!r},{float(v)!r}\n")
-
 
 def interval_mass(F: DistributionFn, a: float, b: float) -> float:
     """Mass the induced measure assigns to the open interval (a, b): F(a) - F(b-)."""

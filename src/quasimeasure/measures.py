@@ -94,8 +94,9 @@ class PointCountMeasure(_MarkedPoints, TopologicalMeasure):
     kind = POINT_COUNT
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=float).reshape(-1, 2))
-        table = np.ascontiguousarray(np.asarray(self.value_by_count, dtype=float))
+        # a measure owns its arrays: each is a copy, and the caller's stay writeable
+        pts = np.array(self.points, dtype=float, order="C").reshape(-1, 2)
+        table = np.array(self.value_by_count, dtype=float, order="C")
         n = len(pts)
         if table.shape != (n + 1,):
             raise ValueError(f"value_by_count must have length {n + 1}")
@@ -209,7 +210,8 @@ class DensityMeasure(TopologicalMeasure):
     def __post_init__(self):
         d = self.density
         if isinstance(d, np.ndarray):
-            d = np.ascontiguousarray(np.asarray(d, dtype=float))
+            # a copy: the caller's grid stays writeable
+            d = np.array(d, dtype=float, order="C")
             d.setflags(write=False)
         else:
             d = float(d)
@@ -260,8 +262,9 @@ class AtomicMeasure(_MarkedPoints, TopologicalMeasure):
     kind = ATOMIC
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=float).reshape(-1, 2))
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
+        # copies: the caller's arrays stay writeable
+        pts = np.array(self.points, dtype=float, order="C").reshape(-1, 2)
+        w = np.array(self.weights, dtype=float, order="C")
         if w.shape != (len(pts),):
             raise ValueError("weights must match points")
         _require_finite(points=pts, weights=w)

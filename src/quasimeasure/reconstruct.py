@@ -28,12 +28,6 @@ class ReconstructionReport:
     monotone: bool
     converged: bool
 
-    def trace_to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("step,radius,value\n")
-            for step, (k, v) in enumerate(self.trace):
-                fh.write(f"{step},{k},{float(v)!r}\n")
-
 
 def _default_rt_tol(mu: TopologicalMeasure) -> float:
     return 1e-9 if mu.kind == POINT_COUNT else 1e-3

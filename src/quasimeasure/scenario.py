@@ -23,7 +23,7 @@ import numpy as np
 
 from . import checks as checks_mod
 from .errors import ConfigError, QuasimeasureError
-from .fields import add, build_plateau, field_to_csv, scale, truncate
+from .fields import add, build_plateau, scale, truncate
 from .grid import Frame
 from .integration import QuasiIntegral, distribution_function
 from .measures import AtomicMeasure, DensityMeasure, PointCountMeasure
@@ -46,6 +46,15 @@ def _built_at(path: str):
     try:
         yield
     except (ValueError, TypeError, ArithmeticError, QuasimeasureError) as exc:
+        _fail(path, str(exc))
+
+
+@contextmanager
+def _written_at(path: str):
+    """Report a failed write at its artifact's JSON path or at the output directory."""
+    try:
+        yield
+    except OSError as exc:
         _fail(path, str(exc))
 
 
@@ -174,9 +183,10 @@ def _region_or_rect(role: str):
 
 
 # -- constructors of the objects whose scenario keys differ from the
-# library's arguments. An artifact's constructor returns the writer of its CSV
-# file. A function that perfbench's tracer wraps is called by its
-# module-global name, where the wrapper replaces it.
+# library's arguments. An artifact's constructor returns its CSV file's header
+# lines and its rows, which _write_artifacts writes. A function that
+# perfbench's tracer wraps is called by its module-global name, where the
+# wrapper replaces it.
 
 
 def _rect(frame: Frame, bounds, role: str = COMPACT) -> Region:
@@ -204,17 +214,25 @@ def _sum(of: list):
 # bound by distribution_function's signature, so an absent variant takes its default
 @functools.wraps(distribution_function)
 def _distribution(*args, **kwargs):
-    return distribution_function(*args, **kwargs).to_csv
+    F = distribution_function(*args, **kwargs)
+    header = ("# right-continuous step function: F(t) = F_i on [t_i, t_{i+1})",
+              f"# left limit below first breakpoint: {float(F.left_limit)!r}",
+              "t,F")
+    return header, zip(F.thresholds, F.values)
 
 
 def _trace(mu, region: Region):
-    """mu(region) reconstructed from inside an open region, onto a compact one."""
+    """rho along the schedule that reconstructs mu(region) from inside an open
+    region, onto a compact one."""
     estimator = mu_rho_open if region.role == OPEN else mu_rho_compact
-    return estimator(QuasiIntegral(mu), region).trace_to_csv
+    trace = estimator(QuasiIntegral(mu), region).trace
+    return ("step,radius,value",), ((step, k, float(v)) for step, (k, v) in enumerate(trace))
 
 
 def _field_csv(f):
-    return functools.partial(field_to_csv, f)
+    """f's value at each cell center."""
+    xx, yy = f.frame.center_grids()
+    return ("x,y,value",), zip(xx.ravel(), yy.ravel(), f.values.ravel())
 
 
 # scenario key -> (argument of the function it is passed to, parser). A
@@ -412,20 +430,34 @@ def _check_labels(checks) -> list[str]:
     return labels
 
 
+def _cell(x) -> str:
+    """A CSV cell: an int as itself, any other number as its float's repr
+    (numpy 2's repr of a float64 scalar names its type)."""
+    return str(x) if isinstance(x, int) else repr(float(x))
+
+
 def _write_artifacts(scenario: Scenario, out_dir: Path):
     for path, csv, fn, kwargs in scenario.artifacts:
         with _built_at(path):
-            write = fn(**kwargs)
-        write(out_dir / csv)
+            header, rows = fn(**kwargs)
+        with _written_at(path), open(out_dir / csv, "w") as fh:
+            fh.writelines(f"{line}\n" for line in header)
+            fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def execute_scenario(scenario: Scenario, out_dir=None) -> dict:
     """Run all checks in order; write CSV artifacts and report.json when out_dir
     is given.
 
-    A check or artifact that cannot run on the scenario's geometry raises
-    ConfigError at its JSON path, and then no report.json is written.
+    A check or artifact that cannot run on the scenario's geometry, or an
+    artifact that cannot be written, raises ConfigError at its JSON path, and
+    then no report.json is written. An output directory that cannot be made
+    raises ConfigError before any check runs.
     """
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        with _written_at(f"output directory {out_dir}"):
+            out_dir.mkdir(parents=True, exist_ok=True)
     labels = _check_labels(scenario.checks)
     checks, wall_times = {}, {}
     for i, ((name, fn, kwargs), label) in enumerate(zip(scenario.checks, labels)):
@@ -454,11 +486,10 @@ def execute_scenario(scenario: Scenario, out_dir=None) -> dict:
         },
     }
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_artifacts(scenario, out)
-        (out / "report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write_artifacts(scenario, out_dir)
+        with _written_at(f"output directory {out_dir}"):
+            (out_dir / "report.json").write_text(
+                json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from quasimeasure import (
     Region,
     ScalarField,
 )
+from quasimeasure.cli import main
 from quasimeasure.grid import edge_cells
 from quasimeasure.presets import (
     crossing_fields,
@@ -64,6 +68,15 @@ def regions64(frame64):
 @pytest.fixture(scope="session")
 def golden_pair(frame64):
     return crossing_fields(frame64, 1.0)
+
+
+@pytest.fixture(scope="session")
+def nonlinear_out(tmp_path_factory):
+    """The output directory of `quasimeasure run nonlinear_example` at seed 0."""
+    out = tmp_path_factory.mktemp("nonlinear_example")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "nonlinear_example", "--seed", "0", "--out", str(out)]) == 0
+    return out
 
 
 @pytest.fixture(scope="session")

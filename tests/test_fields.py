@@ -319,6 +319,11 @@ class TestPiecewiseLinearMap:
         clip = truncation(0.5, 0.0, 2.0)
         assert clip(0.3) == 0.3 and clip(1.7) == 0.5
 
+    def test_caller_knots_stay_writeable(self):
+        knots = np.array([[-1.0, -1.0], [0.0, 0.0], [1.0, 2.0]])
+        phi = PiecewiseLinearMap(knots)
+        assert knots.flags.writeable and not np.shares_memory(knots, phi.knots)
+
     def test_algebra(self):
         ident = PiecewiseLinearMap.identity(0.0, 2.0)
         clip = truncation(0.5, 0.0, 2.0)

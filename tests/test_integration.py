@@ -315,10 +315,10 @@ class TestDistributionValidation:
         with pytest.raises(ValueError):
             DistributionFn(thresholds, values, left_limit)
 
-    def test_csv_roundtrip(self, tmp_path, crossing, golden_sum):
+    def test_csv_roundtrip(self, nonlinear_out, crossing, golden_sum):
+        # nonlinear_example's h is the golden sum
         F = distribution_function(crossing, golden_sum)
-        path = tmp_path / "F.csv"
-        F.to_csv(path)
+        path = nonlinear_out / "distribution_crossing_h.csv"
         lines = path.read_text().strip().splitlines()
         assert lines[2] == "t,F"
         rows = [tuple(map(float, ln.split(","))) for ln in lines[3:]]

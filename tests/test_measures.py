@@ -17,6 +17,20 @@ from quasimeasure.presets import MARKED_POINTS, VALUE_BY_COUNT, standard_frame
 from quasimeasure.regions import point_cells
 
 
+@pytest.mark.parametrize("cls, params", [
+    (PointCountMeasure, {"points": [[2.31, 6.43], [6.43, 2.31]],
+                         "value_by_count": [0.0, 0.0, 1.0]}),
+    (AtomicMeasure, {"points": [[2.31, 6.43], [6.43, 2.31]], "weights": [1.0, 2.0]}),
+    (DensityMeasure, {"density": [[1.0, 2.0], [3.0, 4.0]]}),
+])
+def test_caller_arrays_stay_writeable(cls, params):
+    """A measure owns copies of its parameter arrays."""
+    arrays = {name: np.array(value) for name, value in params.items()}
+    mu = cls(**arrays)
+    for name, a in arrays.items():
+        assert a.flags.writeable and not np.shares_memory(a, getattr(mu, name)), name
+
+
 class TestPointCountValidation:
     def test_table_must_start_at_zero(self):
         with pytest.raises(ValueError):

@@ -147,10 +147,9 @@ class TestRoundTrip:
         for e in entries:
             assert e.gap <= 1e-9, (e.name, e.gap)
 
-    def test_report_serialization(self, frame64, crossing, regions64, tmp_path):
+    def test_report_serialization(self, frame64, crossing, regions64, nonlinear_out):
         report = mu_rho_compact(QuasiIntegral(crossing), regions64["core"])
-        path = tmp_path / "trace.csv"
-        report.trace_to_csv(path)
+        path = nonlinear_out / "reconstruction_crossing_core.csv"
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,radius,value"
         assert len(lines) == 1 + len(report.trace)

@@ -459,6 +459,11 @@ def _spikes_neg(out):
     assert a == b
 
 
+def _no_report(out):
+    # an artifact that cannot be written fails the run before report.json
+    assert not (out / "report.json").exists()
+
+
 # file stem -> (exit code, text the run prints, check of its output directory)
 _SCENARIO_FILES = {
     "outside_atoms": (0, "all checks passed", _outside_atoms),
@@ -468,7 +473,22 @@ _SCENARIO_FILES = {
     "not_utf8": (2, "configuration error", None),
     # two distributions that differ only in variant would write one file
     "variant_pair": (2, "$.artifacts.distributions[1]: ", None),
+    # a CSV name longer than the file system allows
+    "long_name": (2, "$.artifacts.distributions[0]: ", _no_report),
+    # F's breakpoints one ulp apart, and interval masses that round apart
+    "third_density": (0, "all checks passed", None),
 }
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    """An --out that is an existing file is reported at its path, and nothing
+    is written."""
+    out = tmp_path / "taken"
+    out.write_text("mine\n")
+    assert main(["run", "nonlinear_example", "--out", str(out)]) == 2
+    assert f"output directory {out}: " in capsys.readouterr().err
+    assert out.read_text() == "mine\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in _SCENARIO_DIR.glob("*.json")))
