@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import FrameError, GeometryError
 from .fields import distance_map, ramp_field
 from .integration import QuasiIntegral
-from .measures import POINT_COUNT, TopologicalMeasure, tm_eval
+from .measures import DENSITY, TopologicalMeasure, tm_eval
 from .regions import COMPACT, OPEN, Region, dilate
 
 
@@ -30,7 +30,9 @@ class ReconstructionReport:
 
 
 def _default_rt_tol(mu: TopologicalMeasure) -> float:
-    return 1e-9 if mu.kind == POINT_COUNT else 1e-3
+    """The bound on an error in mu's values: a point-count or atomic measure is
+    recovered exactly, a density with an O(cell * perimeter) overshoot."""
+    return 1e-3 if mu.kind == DENSITY else 1e-9
 
 
 def mu_rho_open(rho: QuasiIntegral, U: Region,

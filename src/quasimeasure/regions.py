@@ -40,7 +40,7 @@ class Region:
     role: str = OPEN
 
     def __post_init__(self):
-        mask = np.ascontiguousarray(np.asarray(self.mask, dtype=bool))
+        mask = np.array(self.mask, dtype=bool, order="C")  # a copy: the caller keeps its mask
         if mask.shape != self.frame.shape:
             raise ValueError(f"mask shape {mask.shape} != frame shape {self.frame.shape}")
         if self.role not in (OPEN, COMPACT):
@@ -109,13 +109,10 @@ def empty_region(frame: Frame, role: str = OPEN) -> Region:
     return Region(frame, np.zeros(frame.shape, dtype=bool), role)
 
 
-def frame_interior(frame: Frame, margin: int = 1) -> Region:
-    """All cells further than `margin` rings from the frame boundary, open role."""
-    if margin < 1:
-        raise ValueError("open interior needs a margin of at least one ring")
-    ny, nx = frame.shape
+def frame_interior(frame: Frame) -> Region:
+    """All cells off the frame's edge ring, open role."""
     mask = np.zeros(frame.shape, dtype=bool)
-    mask[margin:ny - margin, margin:nx - margin] = True
+    mask[1:-1, 1:-1] = True
     return Region(frame, mask, OPEN)
 
 

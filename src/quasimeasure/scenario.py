@@ -193,10 +193,10 @@ def _rect(frame: Frame, bounds, role: str = COMPACT) -> Region:
     return rect_region(frame, *bounds, role=role)
 
 
-def _interior(frame: Frame, margin: int = 1, role: str = OPEN) -> Region:
+def _interior(frame: Frame, role: str = OPEN) -> Region:
     if role != OPEN:
         raise ValueError(f"an interior region is open, got role {role!r}")
-    return frame_interior(frame, margin)
+    return frame_interior(frame)
 
 
 def _empty(frame: Frame, role: str = COMPACT) -> Region:
@@ -241,14 +241,13 @@ def _field_csv(f):
 _KEYS = {
     "measure": ("mu", _measure), "field": ("f", _field), "regions": ("catalog", _catalog),
     "region": ("region", _region),
-    "heights": ("heights", _floats), "coeffs": ("coeffs", _floats),
-    "ns": ("ns", _floats), "trials": ("trials", _int), "tol": ("tol", _float),
+    "heights": ("heights", _floats), "trials": ("trials", _int), "tol": ("tol", _float),
     "rt_tol": ("rt_tol", _float), "max_steps": ("max_steps", _max_steps),
     "variant": ("variant", _variant),
     "density": ("density", _float), "unbounded": ("unbounded", _bool),
     "points": ("points", _points), "value_by_count": ("value_by_count", _floats),
     "weights": ("weights", _floats),
-    "bounds": ("bounds", _bounds), "role": ("role", _role), "margin": ("margin", _int),
+    "bounds": ("bounds", _bounds), "role": ("role", _role),
     "inner": ("inner", _region_or_rect(COMPACT)), "outer": ("outer", _region_or_rect(OPEN)),
     "height": ("height", _float), "ramp": ("ramp_width", _float),
     "of": ("of", _summands), "factor": ("a", _float), "delta": ("delta", _float),

@@ -29,7 +29,7 @@ from quasimeasure.checks import (
     check_tm_axioms,
 )
 from quasimeasure.presets import crossing_measure, crossing_sum, standard_frame
-from quasimeasure.reconstruct import roundtrip
+from quasimeasure.reconstruct import _default_rt_tol, roundtrip
 
 from conftest import roundtrip_catalog
 
@@ -84,18 +84,14 @@ def test_criterion_4_property_suites_200_trials():
     frame = standard_frame(64)
     mu = crossing_measure()
     suites = [
-        ("homogeneity", check_homogeneity(
-            mu, coeffs=(-2.0, -1.0, 0.5, 3.0), trials=200, seed=1, tol=1e-6,
-            frame=frame)),
+        ("homogeneity", check_homogeneity(mu, trials=200, seed=1, frame=frame)),
         ("subalgebra additivity", check_sga_additivity(
-            mu, trials=200, seed=2, tol=1e-6, frame=frame)),
+            mu, trials=200, seed=2, frame=frame)),
         ("positivity", check_positivity(mu, trials=200, seed=3, frame=frame)),
         ("disjoint supports", check_disjoint_support_additivity(
-            mu, trials=200, seed=4, tol=1e-6, frame=frame)),
-        ("monotonicity", check_monotone_lipschitz(
-            mu, trials=200, seed=5, tol=1e-6, frame=frame)),
-        ("lipschitz bound", check_monotone_lipschitz(
-            mu, trials=200, seed=6, tol=1e-6, frame=frame)),
+            mu, trials=200, seed=4, frame=frame)),
+        ("monotonicity", check_monotone_lipschitz(mu, trials=200, seed=5, frame=frame)),
+        ("lipschitz bound", check_monotone_lipschitz(mu, trials=200, seed=6, frame=frame)),
     ]
     failures = {name: rep.failures for name, rep in suites}
     ok = all(rep.failures == 0 and rep.trials == 200 for _, rep in suites)
@@ -133,11 +129,11 @@ def test_criterion_6_tm_axiom_suites():
     frame = standard_frame(64)
     atoms = AtomicMeasure(np.array([[3.13, 7.21], [6.47, 2.93], [5.11, 5.57]]),
                           np.array([1.0, 2.5, 0.25]))
-    suites = [
-        ("point_count", check_tm_axioms(crossing_measure(), frame=frame, tol=1e-9)),
-        ("density", check_tm_axioms(DensityMeasure(1.0), frame=frame, tol=1e-3)),
-        ("atomic", check_tm_axioms(atoms, frame=frame, tol=1e-9)),
-    ]
+    measures = [("point_count", crossing_measure()), ("density", DensityMeasure(1.0)),
+                ("atomic", atoms)]
+    # each family's bound, which the suite reads from its measure
+    assert [_default_rt_tol(mu) for _, mu in measures] == [1e-9, 1e-3, 1e-9]
+    suites = [(name, check_tm_axioms(mu, frame=frame)) for name, mu in measures]
     failures = {name: rep.failures for name, rep in suites}
     ok = all(rep.failures == 0 for _, rep in suites)
     _verdict(6, "topological-measure axiom suites", ok, f"failures={failures}")

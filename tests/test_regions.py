@@ -55,6 +55,15 @@ class TestRegionBasics:
         with pytest.raises(ValueError):
             Region(frame64, np.zeros(frame64.shape, dtype=bool), role="closed")
 
+    def test_caller_mask_stays_writeable(self, frame64):
+        """A region owns its mask: the caller's stays writeable and shares no memory."""
+        mask = np.zeros(frame64.shape, dtype=bool)
+        mask[10:20, 10:20] = True
+        r = Region(frame64, mask)
+        assert mask.flags.writeable and not np.shares_memory(mask, r.mask)
+        mask[30, 30] = True
+        assert r.cell_count == 100 and not r.mask.flags.writeable
+
 
 class TestTopology:
     """The kernel's conventions, on its components, holes and hulls embedded

@@ -292,8 +292,6 @@ class TestCli:
          "$.measures.lebesgue.density"),
         ("measure_baseline", {("frame", "nx"): 64.7}, [], "$.frame.nx"),
         ("measure_baseline", {("frame", "y_max"): "10"}, [], "$.frame.y_max"),
-        ("nonlinear_example", {("regions", "interior", "margin"): 1.5}, [],
-         "$.regions.interior.margin"),
         ("measure_baseline", {("regions", "tent_base", "bounds"): ["a", 1, 2, 3]}, [],
          "$.regions.tent_base.bounds[0]"),
         ("nonlinear_example", {("fields", "f", "inner"): [1, 7, 5, "7"]}, [],
@@ -325,11 +323,21 @@ class TestCli:
         ("nonlinear_example", {("checks", 0, "heights"): [-1.0]}, [], "$.checks[0]"),
         ("nonlinear_example", {("checks", 0, "heights"): []}, [], "$.checks[0]"),
         # nor is a check that would compare nothing
-        ("measure_baseline", {("checks", 6, "coeffs"): []}, [], "$.checks[6]"),
-        ("measure_baseline", {("checks", 8, "ns"): []}, [], "$.checks[8]"),
         ("measure_baseline", {("checks", 5, "regions"): []}, [], "$.checks[5]"),
+        # a check's fixed bounds, coefficients and slices, and an interior's
+        # margin of one ring, are no scenario keys
+        *[(name, {("checks", i, "tol"): 1e-6}, [], f"$.checks[{i}]: unknown keys ['tol']")
+          for name, i in [("nonlinear_example", 0), ("nonlinear_example", 3),
+                          ("nonlinear_example", 5), ("nonlinear_example", 6),
+                          ("measure_baseline", 3), ("measure_baseline", 6),
+                          ("measure_baseline", 8), ("measure_baseline", 9)]],
+        ("measure_baseline", {("checks", 6, "coeffs"): [2.0]}, [],
+         "$.checks[6]: unknown keys ['coeffs']"),
+        ("measure_baseline", {("checks", 8, "ns"): [2]}, [], "$.checks[8]: unknown keys ['ns']"),
+        ("nonlinear_example", {("regions", "interior", "margin"): 1}, [],
+         "$.regions.interior: unknown keys ['margin']"),
         # json reads NaN and Infinity: a scenario number must be finite
-        ("measure_baseline", {("checks", 6, "tol"): math.nan}, [], "$.checks[6].tol"),
+        ("measure_baseline", {("checks", 0, "tol"): math.nan}, [], "$.checks[0].tol"),
         ("measure_baseline", {("measures", "spikes", "points", 1, 0): math.nan}, [],
          "$.measures.spikes.points[1][0]"),
         ("nonlinear_example", {("measures", "crossing", "value_by_count", 5): math.nan}, [],
@@ -339,7 +347,7 @@ class TestCli:
         ("measure_baseline", {("frame", "x_min"): -1e308, ("frame", "x_max"): 1e308}, [],
          "$.frame"),
         # and integers of any size: this one has no float
-        ("measure_baseline", {("checks", 6, "tol"): 10 ** 400}, [], "$.checks[6].tol"),
+        ("measure_baseline", {("checks", 0, "tol"): 10 ** 400}, [], "$.checks[0].tol"),
         # the name is copied into report.json
         ("measure_baseline", {("name",): {"a": 1}}, [], "$.name"),
         # a positive width whose cell underflows to 0, and finite cells whose
@@ -373,7 +381,9 @@ class TestCli:
         p.write_text(json.dumps(data))
         out = tmp_path / "out"
         assert main(["run", str(p), "--out", str(out), *args]) == 2
-        assert f"{where}: " in capsys.readouterr().err
+        # where is the fault's path, or its path and the whole message
+        err = capsys.readouterr().err
+        assert f"{where}: " in err or err.endswith(f"{where}\n")
         assert not (out / "report.json").exists()
 
     def test_resolution_flag(self, tmp_path):
@@ -400,7 +410,7 @@ class TestCli:
 # naming small_scenario_dict's objects
 _SAMPLE = {
     "density": 1.0, "unbounded": False, "points": [[2.31, 6.43]], "value_by_count": [0, 1],
-    "weights": [1.0], "bounds": [2, 6, 2, 6], "role": "open", "margin": 1,
+    "weights": [1.0], "bounds": [2, 6, 2, 6], "role": "open",
     "inner": "K", "outer": "U", "height": 1.0, "ramp": 0.25, "of": ["f", "f"],
     "field": "f", "factor": 2.0, "delta": 0.5,
     "measure": "crossing", "variant": "B", "region": "K",
