@@ -14,6 +14,11 @@ import numpy as np
 
 MIN_CELLS = 8
 
+# The cell budget: 2048², four times the 1024² frames the benchmark ladder
+# reaches. A run holds several float rasters of the frame at once, so a
+# frame past it would allocate gigabytes before any check could fail.
+MAX_CELLS = 2048 * 2048
+
 # Relative scale of the geometric tie guard (fraction of a cell diagonal).
 TIE_EPS_CELL_FRACTION = 1e-6
 
@@ -34,6 +39,9 @@ class Frame:
             raise ValueError("frame extents must be strictly positive")
         if self.nx < MIN_CELLS or self.ny < MIN_CELLS:
             raise ValueError(f"frame needs at least {MIN_CELLS} cells per axis")
+        if self.nx * self.ny > MAX_CELLS:
+            raise ValueError(f"frame of {self.nx} x {self.ny} cells exceeds the budget "
+                             f"of {MAX_CELLS} cells")
         # an infinite extent, finite ones whose difference overflows, or a
         # cell size or area that underflows to zero or overflows
         if not 0 < self.cell_area < math.inf:

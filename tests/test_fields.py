@@ -49,6 +49,13 @@ class TestFrame:
         with pytest.raises(ValueError):
             Frame(0, 10, 0, 10, 4, 64)
 
+    def test_cell_budget(self):
+        """2048 x 2048 cells fit the budget, one row more does not; a frame
+        holds no raster, so neither builds an array."""
+        assert Frame(0, 10, 0, 10, 2048, 2048).shape == (2048, 2048)
+        with pytest.raises(ValueError, match="budget"):
+            Frame(0, 10, 0, 10, 2048, 2049)
+
     # (-1e308, 1e308) is finite, but its width overflows to an infinite cell,
     # and 5e-324 is positive, but its cell underflows to 0
     @pytest.mark.parametrize("x_min, x_max", [

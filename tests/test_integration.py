@@ -304,6 +304,16 @@ class TestDistributionValidation:
         with pytest.raises(ValueError):
             DistributionFn(np.array([0.0, 0.0]), np.array([1.0, 0.0]), left_limit=1.0)
 
+    def test_caller_arrays_stay_writeable(self):
+        """F owns its arrays: the caller's stay writeable and share no memory."""
+        t, v = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+        F = DistributionFn(t, v, 1.0)
+        assert t.flags.writeable and v.flags.writeable
+        assert not (np.shares_memory(t, F.thresholds) or np.shares_memory(v, F.values))
+        t[1], v[0] = 2.0, 0.5
+        assert breakpoints(F) == [(0.0, 1.0), (1.0, 0.0)]
+        assert not (F.thresholds.flags.writeable or F.values.flags.writeable)
+
     @pytest.mark.parametrize("thresholds, values, left_limit", [
         ([0.0, math.nan], [math.nan, 0.0], math.nan),
         ([0.0, 1.0], [1.0, 0.0], math.inf),
@@ -573,6 +583,79 @@ def test_mass_shortcuts_label_less(crossing, monkeypatch, kind, n):
             total += got
             oracle_total += want_calls
     assert total < oracle_total
+
+
+def _every_level_oracle(mu, f, variant):
+    """F at every distinct level of f and F's left limit, each from its own
+    full-frame Region: no pruning, no anchors, no reuse."""
+    vals, frame = f.values, f.frame
+    total = mu.total_mass(frame)
+    levels = np.unique(vals)
+    if variant == VARIANT_B:
+        left = mu.mass(Region(frame, vals != 0.0, OPEN))
+        F = [mu.mass(Region(frame, (vals > t) & (vals != 0.0), OPEN)) for t in levels]
+    else:
+        left = total
+        F = [mu.mass(Region(frame, vals > t, OPEN)) if t >= 0
+             else total - mu.mass(Region(frame, vals <= t, COMPACT)) for t in levels]
+    return levels, F, left
+
+
+@pytest.mark.parametrize("n", [48, 64])
+def test_every_level_oracle(crossing, n):
+    """F is non-increasing at every distinct level, and the bisection's F
+    agrees with it there; under variant B F does not jump at 0. A flat block
+    over every marked point puts them all in the set probed at 0, which
+    also gives the block's left limit under B."""
+    frame = standard_frame(n)
+    block = 0.5 * rect_region(frame, 0.5, 7.5, 0.5, 7.5).mask
+    blocks = [ScalarField(frame, block), ScalarField(frame, -block)]
+    for f in _gate_fields("sums", n) + blocks:
+        for variant in (VARIANT_A, VARIANT_B):
+            levels, want, left = _every_level_oracle(crossing, f, variant)
+            assert left >= want[0] and all(a >= b for a, b in zip(want, want[1:]))
+            F = distribution_function(crossing, f, variant)
+            assert F.left_limit == left
+            assert [F(t) for t in levels.tolist()] == want
+            if variant == VARIANT_B:
+                assert F.left_value(0.0) == F(0.0)
+
+
+def _probed_masks(monkeypatch):
+    """The masks of every probe, in order, recorded at the mass kernel's door."""
+    masks = []
+    probe = integration._LevelEvaluator.mass_of_crop
+
+    def record(self, mask):
+        masks.append(mask.tobytes())
+        return probe(self, mask)
+
+    monkeypatch.setattr(integration._LevelEvaluator, "mass_of_crop", record)
+    return masks
+
+
+@pytest.mark.parametrize("kind,n", [
+    ("sums", 64), ("sums", 100), ("sums", 128), ("sums", 256),
+    ("golden", 64), ("golden", 100), ("golden", 333), ("golden", 512),
+])
+def test_each_set_probed_once(crossing, monkeypatch, kind, n):
+    """No two probes of one integral measure the same set: under variant B
+    the segment just below 0 reads the one at 0, whose set it is."""
+    masks = _probed_masks(monkeypatch)
+    for f in _gate_fields(kind, n):
+        for variant in (VARIANT_A, VARIANT_B):
+            masks.clear()
+            res = quasi_integral(crossing, f, variant)
+            assert len(masks) == res.diagnostics.refinement_iterations
+            assert len(set(masks)) == len(masks)
+
+
+def test_golden_probe_counts(crossing, golden_pair, golden_sum):
+    """A golden plateau costs two probes and their sum four, under either
+    variant: under B, F's left limit reads the probe of the support at 0."""
+    for variant in (VARIANT_A, VARIANT_B):
+        assert [quasi_integral(crossing, x, variant).diagnostics.refinement_iterations
+                for x in (*golden_pair, golden_sum)] == [2, 2, 4]
 
 
 def _level_cases(n):

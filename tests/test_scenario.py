@@ -2,13 +2,18 @@ import copy
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quasimeasure
 from quasimeasure import ConfigError
 from quasimeasure.cli import main
+from quasimeasure.grid import MAX_CELLS
 from quasimeasure.scenario import (
     _CHECKS,
     _KEYS,
@@ -487,6 +492,8 @@ _SCENARIO_FILES = {
     "long_name": (2, "$.artifacts.distributions[0]: ", _no_report),
     # F's breakpoints one ulp apart, and interval masses that round apart
     "third_density": (0, "all checks passed", None),
+    # 10^12 cells: past the cell budget before any raster is built
+    "huge_frame": (2, "$.frame: ", _no_report),
 }
 
 
@@ -511,6 +518,30 @@ def test_scenario_file(tmp_path, capsys, name):
     assert text in printed.out + printed.err
     if check is not None:
         check(out)
+
+
+# The child caps its own address space at 1 GiB before it imports numpy: a
+# frame that got past the budget fails to allocate there instead of allocating.
+_CAPPED_CLI = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+               "from quasimeasure.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("args", [
+    [str(_SCENARIO_DIR / "huge_frame.json")],
+    [str(_SCENARIO_DIR / "third_density.json"), "--resolution", "20000"],
+], ids=["huge_frame", "resolution_20000"])
+def test_frame_past_the_cell_budget_exits_2(tmp_path, args):
+    """A frame past the cell budget exits 2 at $.frame, from the scenario file
+    or from --resolution, with no traceback and nothing written."""
+    env = dict(os.environ, PYTHONPATH=str(Path(quasimeasure.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_CLI, "run", *args, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("configuration error: $.frame: frame of ")
+    assert f"exceeds the budget of {MAX_CELLS} cells" in proc.stderr
+    assert "Traceback" not in proc.stderr and not out.exists()
 
 
 def _set_leaf(data, keys, value):
