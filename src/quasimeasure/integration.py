@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfiniteMeasureError, VariantError
+from .errors import InfiniteMeasureError, VariantError
 from .fields import ScalarField
 from .measures import PointCountMeasure, TopologicalMeasure
 from .regions import _bbox
@@ -118,13 +118,6 @@ class DistributionFn:
     def integral(self) -> float:
         """Exact integral of the step representation from its first breakpoint."""
         return float(np.sum(self.values[:-1] * np.diff(self.thresholds)))
-
-
-def interval_mass(F: DistributionFn, a: float, b: float) -> float:
-    """Mass the induced measure assigns to the open interval (a, b): F(a) - F(b-)."""
-    if not a < b:
-        raise DomainError(f"need a < b, got ({a}, {b})")
-    return F(a) - F.left_value(b)
 
 
 @dataclass(frozen=True)

@@ -137,12 +137,6 @@ def _one_of(*options: str):
 _variant, _role = _one_of("A", "B"), _one_of(OPEN, COMPACT)
 
 
-def _max_steps(scenario, value, path: str) -> int:
-    if _int(scenario, value, path) < 1:
-        _fail(path, f"expected an integer >= 1, got {value!r}")
-    return value
-
-
 def _ref(section: str):
     """Parser of a name defined under $.<section>, resolved to its object."""
 
@@ -193,12 +187,6 @@ def _rect(frame: Frame, bounds, role: str = COMPACT) -> Region:
     return rect_region(frame, *bounds, role=role)
 
 
-def _interior(frame: Frame, role: str = OPEN) -> Region:
-    if role != OPEN:
-        raise ValueError(f"an interior region is open, got role {role!r}")
-    return frame_interior(frame)
-
-
 def _empty(frame: Frame, role: str = COMPACT) -> Region:
     return empty_region(frame, role)
 
@@ -241,9 +229,7 @@ def _field_csv(f):
 _KEYS = {
     "measure": ("mu", _measure), "field": ("f", _field), "regions": ("catalog", _catalog),
     "region": ("region", _region),
-    "heights": ("heights", _floats), "trials": ("trials", _int), "tol": ("tol", _float),
-    "rt_tol": ("rt_tol", _float), "max_steps": ("max_steps", _max_steps),
-    "variant": ("variant", _variant),
+    "trials": ("trials", _int), "variant": ("variant", _variant),
     "density": ("density", _float), "unbounded": ("unbounded", _bool),
     "points": ("points", _points), "value_by_count": ("value_by_count", _floats),
     "weights": ("weights", _floats),
@@ -258,7 +244,7 @@ _KEYS = {
 _KINDS = {
     "measures": {"density": DensityMeasure, "point_count": PointCountMeasure,
                  "atomic": AtomicMeasure},
-    "regions": {"rect": _rect, "interior": _interior, "empty": _empty},
+    "regions": {"rect": _rect, "interior": frame_interior, "empty": _empty},
     "fields": {"plateau": _plateau, "sum": _sum, "scale": scale, "truncate": truncate},
     # $.artifacts.fields lists bare names
     "artifacts": {"distributions": _distribution, "reconstruction_traces": _trace},

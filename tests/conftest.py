@@ -7,6 +7,8 @@ import pytest
 from quasimeasure import (
     AtomicMeasure,
     DensityMeasure,
+    DistributionFn,
+    DomainError,
     Frame,
     PiecewiseLinearMap,
     Region,
@@ -43,6 +45,13 @@ def truncation(delta: float, lo: float, hi: float) -> PiecewiseLinearMap:
 def breakpoints(F) -> list[tuple[float, float]]:
     """F's (threshold, value) pairs."""
     return list(zip(F.thresholds.tolist(), F.values.tolist()))
+
+
+def interval_mass(F: DistributionFn, a: float, b: float) -> float:
+    """Mass the induced measure assigns to the open interval (a, b): F(a) - F(b-)."""
+    if not a < b:
+        raise DomainError(f"need a < b, got ({a}, {b})")
+    return F(a) - F.left_value(b)
 
 
 def same_region(a: Region, b: Region) -> bool:

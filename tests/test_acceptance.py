@@ -11,7 +11,6 @@ from quasimeasure import (
     DensityMeasure,
     build_plateau,
     distribution_function,
-    interval_mass,
     linear_oracle,
     quasi_integral,
     rect_region,
@@ -31,7 +30,7 @@ from quasimeasure.checks import (
 from quasimeasure.presets import crossing_measure, crossing_sum, standard_frame
 from quasimeasure.reconstruct import _default_rt_tol, roundtrip
 
-from conftest import roundtrip_catalog
+from conftest import interval_mass, roundtrip_catalog
 
 
 def _verdict(number: int, label: str, ok: bool, detail: str = ""):
@@ -43,7 +42,7 @@ def _verdict(number: int, label: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_nonlinear_golden_triple():
     start = time.perf_counter()
-    report = check_nonlinearity_example(heights=[1.0], frame=standard_frame(64))
+    report = check_nonlinearity_example(frame=standard_frame(64))
     elapsed = time.perf_counter() - start
     d = report.details["1.0"]
     errors = (abs(d["rho_f"] - 1.0), abs(d["rho_g"] - 1.0), abs(d["rho_sum"] - 1.5))
@@ -71,7 +70,7 @@ def test_criterion_2_linear_baseline_512():
 def test_criterion_3_roundtrip_catalog():
     frame = standard_frame(64)
     mu = crossing_measure()
-    entries = roundtrip(mu, roundtrip_catalog(frame), max_steps=8, rt_tol=1e-9)
+    entries = roundtrip(mu, roundtrip_catalog(frame))
     worst = max(e.gap for e in entries)
     ok = (len(entries) == 6 and worst <= 1e-9
           and all(e.report.converged for e in entries)

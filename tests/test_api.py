@@ -11,7 +11,7 @@ PUBLIC = [
     "ScalarField", "Scenario", "TieBreakError", "TopologicalMeasure",
     "VariantError", "add", "build_plateau", "compose", "dilate",
     "distribution_function", "empty_region", "erode", "execute_scenario",
-    "frame_interior", "interval_mass", "linear_oracle", "load_scenario",
+    "frame_interior", "linear_oracle", "load_scenario",
     "mu_rho_compact", "mu_rho_open", "neg_part", "pos_part", "quasi_integral",
     "rect_region", "roundtrip", "run_scenario", "scale", "sup_distance",
     "sup_norm", "support_region", "tm_eval", "truncate",

@@ -16,7 +16,6 @@ from quasimeasure import (
     add,
     build_plateau,
     distribution_function,
-    interval_mass,
     linear_oracle,
     quasi_integral,
     rect_region,
@@ -30,7 +29,7 @@ from quasimeasure.measures import ATOMIC
 from quasimeasure.presets import crossing_fields, crossing_sum, standard_frame
 from quasimeasure.regions import COMPACT, OPEN, Region, _bbox, point_cells
 
-from conftest import breakpoints, zero_field
+from conftest import breakpoints, interval_mass, zero_field
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,6 @@ from quasimeasure import (
     dilate,
     distribution_function,
     erode,
-    interval_mass,
     neg_part,
     pos_part,
     quasi_integral,
@@ -22,6 +21,8 @@ from quasimeasure import (
 )
 from quasimeasure.grid import edge_cells
 from quasimeasure.presets import crossing_measure, standard_frame
+
+from conftest import interval_mass
 
 FRAME = standard_frame(64)
 CROSSING = crossing_measure()

@@ -38,12 +38,11 @@ class TestBumpSchedule:
         rho = QuasiIntegral(crossing)
         report = mu_rho_open(rho, regions64["interior"])
         assert [k for k, _ in report.trace] == [8, 7, 6, 5, 4, 3, 2, 1]
-        report = mu_rho_open(rho, regions64["interior"], max_steps=3)
-        assert [k for k, _ in report.trace] == [3, 2, 1]
 
-    def test_validation(self, crossing, regions64):
-        with pytest.raises(ValueError):
-            mu_rho_open(QuasiIntegral(crossing), regions64["interior"], max_steps=0)
+    def test_compact_radii(self, crossing, regions64):
+        # every dilation of the core stays in the frame, so no radius is skipped
+        report = mu_rho_compact(QuasiIntegral(crossing), regions64["core"])
+        assert [k for k, _ in report.trace] == [8, 7, 6, 5, 4, 3, 2, 1]
 
 
 class TestOpenEstimator:
@@ -109,7 +108,7 @@ class TestCompactEstimator:
     def test_all_steps_exit_frame(self, frame64, crossing):
         K = rect_region(frame64, 0.05, 9.95, 0.05, 9.95, role="compact")
         with pytest.raises(FrameError):
-            mu_rho_compact(QuasiIntegral(crossing), K, max_steps=3)
+            mu_rho_compact(QuasiIntegral(crossing), K)
 
     def test_wrong_role_rejected(self, frame64, crossing, regions64):
         with pytest.raises(GeometryError):
@@ -143,9 +142,23 @@ class TestRoundTrip:
             "miss": rect_region(frame64, 7.8, 9.2, 7.8, 9.2, role="open"),
             "both": rect_region(frame64, 1.4, 7.4, 1.4, 8.4, role="open"),
         }
-        entries = roundtrip(spikes, catalog, rt_tol=1e-9)
+        entries = roundtrip(spikes, catalog)
         for e in entries:
             assert e.gap <= 1e-9, (e.name, e.gap)
+
+    @pytest.mark.parametrize("resolution", [64, 128, 256])
+    def test_density_gap_is_the_compact_ring(self, resolution):
+        # a density's open target is recovered exactly; a compact one is
+        # overshot by the mass of the one-cell ring around it, which exceeds
+        # the density's bound at each of these resolutions
+        frame, mu = standard_frame(resolution), DensityMeasure(1.0)
+        bounds = (2.3, 5.1, 2.2, 5.3)
+        K = rect_region(frame, *bounds, role="compact")
+        catalog = {"open": rect_region(frame, *bounds, role="open"), "compact": K}
+        opened, closed = roundtrip(mu, catalog)
+        assert opened.gap == 0.0 and opened.passed
+        assert closed.gap == tm_eval(mu, dilate(K, 1)) - tm_eval(mu, K)
+        assert closed.gap > _default_rt_tol(mu) and not closed.passed
 
     def test_report_serialization(self, frame64, crossing, regions64, nonlinear_out):
         report = mu_rho_compact(QuasiIntegral(crossing), regions64["core"])
@@ -182,15 +195,15 @@ class _RefReport:
     converged: bool
 
 
-def _ref_mu_rho_open(rho, U, max_steps=8, rt_tol=None):
+def _ref_mu_rho_open(rho, U):
     if U.role != OPEN:
         raise GeometryError("mu_rho_open expects an open-role region")
-    rt_tol = _default_rt_tol(rho.mu) if rt_tol is None else rt_tol
+    rt_tol = _default_rt_tol(rho.mu)
     if U.is_empty:
         return _RefReport(U, "open", (), 0.0, True, True)
     min_cell = U.frame.min_cell
     trace = []
-    for k in range(max_steps, 0, -1):
+    for k in range(8, 0, -1):
         inner = erode(U, k)
         try:
             bump = build_plateau(inner, U, 1.0, k * min_cell)
@@ -207,15 +220,15 @@ def _ref_mu_rho_open(rho, U, max_steps=8, rt_tol=None):
     )
 
 
-def _ref_mu_rho_compact(rho, K, max_steps=8, rt_tol=None):
+def _ref_mu_rho_compact(rho, K):
     if K.role != COMPACT:
         raise GeometryError("mu_rho_compact expects a compact-role region")
-    rt_tol = _default_rt_tol(rho.mu) if rt_tol is None else rt_tol
+    rt_tol = _default_rt_tol(rho.mu)
     if K.is_empty:
         return _RefReport(K, "compact", (), 0.0, True, True)
     min_cell = K.frame.min_cell
     trace = []
-    for k in range(max_steps, 0, -1):
+    for k in range(8, 0, -1):
         try:
             outer = dilate(K, k).with_role(OPEN)
             bump = build_plateau(K, outer, 1.0, k * min_cell)
@@ -296,9 +309,9 @@ def _target_mask(shape_kind, frame, rng, edge_gap):
     return mask
 
 
-def _outcome(estimator, rho, region, max_steps, rt_tol):
+def _outcome(estimator, rho, region):
     try:
-        r = estimator(rho, region, max_steps, rt_tol)
+        r = estimator(rho, region)
     except QuasimeasureError as exc:
         return type(exc)
     return r.trace, r.estimate, r.monotone, r.converged
@@ -314,8 +327,6 @@ def test_schedule_equals_per_radius_plateaus(frame_name, measure_kind):
     for i in range(24):
         shape_kind = ("components", "holes", "strips", "edge")[i % 4]
         mask = _target_mask(shape_kind, frame, rng, edge_gap=(i // 4) % 5)
-        max_steps = 1 + i % 8
-        rt_tol = (None, 0.0)[(i // 8) % 2]
         if shape_kind == "edge":
             K = Region(frame, mask, COMPACT)
             pair = [(mu_rho_compact, _ref_mu_rho_compact, K)]
@@ -324,14 +335,14 @@ def test_schedule_equals_per_radius_plateaus(frame_name, measure_kind):
             pair = [(mu_rho_open, _ref_mu_rho_open, Region(frame, mask, OPEN)),
                     (mu_rho_compact, _ref_mu_rho_compact, Region(frame, mask, COMPACT))]
         for new, ref, region in pair:
-            got = _outcome(new, rho, region, max_steps, rt_tol)
-            want = _outcome(ref, rho, region, max_steps, rt_tol)
-            assert got == want, (shape_kind, region.role, max_steps)
-            outcomes.append((region.role, max_steps, got))
+            got = _outcome(new, rho, region)
+            want = _outcome(ref, rho, region)
+            assert got == want, (shape_kind, region.role)
+            outcomes.append((region.role, got))
     # the seeded targets reach the compact side's skipped steps and its error
-    assert any(got is FrameError for _, _, got in outcomes)
-    assert any(role == COMPACT and got is not FrameError and len(got[0]) < steps
-               for role, steps, got in outcomes)
+    assert any(got is FrameError for _, got in outcomes)
+    assert any(role == COMPACT and got is not FrameError and len(got[0]) < 8
+               for role, got in outcomes)
 
 
 # -- box-built ramps against the full-frame schedule they replaced ----------
@@ -347,15 +358,15 @@ def _full_frame_distance_map(outer):
     return ndimage.distance_transform_edt(outer.mask, sampling=(frame.dy, frame.dx))
 
 
-def _full_frame_schedule(rho, target, max_steps=8, rt_tol=None):
-    rt_tol = _default_rt_tol(rho.mu) if rt_tol is None else rt_tol
+def _full_frame_schedule(rho, target):
+    rt_tol = _default_rt_tol(rho.mu)
     if target.is_empty:
         return (), 0.0, True, True
     frame = target.frame
     is_open = target.role == OPEN
     dist = _full_frame_distance_map(target) if is_open else None
     trace = []
-    for k in range(max_steps, 0, -1):
+    for k in range(8, 0, -1):
         if not is_open:
             try:
                 dist = _full_frame_distance_map(dilate(target, k).with_role(OPEN))
@@ -383,8 +394,7 @@ def _full_frame_outcome(rho, region):
 
 
 def _box_outcome(rho, region):
-    return _outcome(mu_rho_open if region.role == OPEN else mu_rho_compact,
-                    rho, region, 8, None)
+    return _outcome(mu_rho_open if region.role == OPEN else mu_rho_compact, rho, region)
 
 
 def _edge_gap_targets(frame):

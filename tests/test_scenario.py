@@ -191,7 +191,8 @@ class TestValidation:
         fn = _CHECKS[name]
         assert fn.__name__ == f"check_{name}"
         assert fn.__doc__
-        assert _keys(fn)
+        # the crossed-plateau configuration is fixed: its check takes no key
+        assert bool(_keys(fn)) == (name != "nonlinearity_example")
 
     def test_keys_pass_distinct_arguments(self):
         # a function's keys are read from its signature, one per argument
@@ -240,12 +241,12 @@ class TestCli:
 
     def test_failing_check_exit_code(self, tmp_path, capsys):
         data = small_scenario_dict()
-        # density measure cannot hit a compact box at point-count tolerance
+        # a density measure's compact box is overshot by its ramp ring, past
+        # the density's own bound
         data["measures"]["flat"] = {"kind": "density", "density": 1.0}
         data["regions"]["box"] = {"kind": "rect", "bounds": [2, 5, 2, 5],
                                   "role": "compact"}
-        data["checks"] = [{"check": "roundtrip", "measure": "flat",
-                           "regions": ["box"], "rt_tol": 1e-9}]
+        data["checks"] = [{"check": "roundtrip", "measure": "flat", "regions": ["box"]}]
         p = tmp_path / "fail.json"
         p.write_text(json.dumps(data))
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
@@ -268,8 +269,7 @@ class TestCli:
 
     @pytest.mark.parametrize("name, edits, args, where", [
         ("measure_baseline", {("checks", 6, "trials"): "many"}, [], "$.checks[6].trials"),
-        ("measure_baseline", {("checks", 0, "tol"): "tight"}, [], "$.checks[0].tol"),
-        ("measure_baseline", {("checks", 5, "max_steps"): 0}, [], "$.checks[5].max_steps"),
+        ("measure_baseline", {("fields", "tent", "ramp"): "tight"}, [], "$.fields.tent.ramp"),
         ("measure_baseline", {("checks", 0, "variant"): "C"}, [], "$.checks[0].variant"),
         ("measure_baseline", {("checks", 0, "field"): ["tent"]}, [], "$.checks[0].field"),
         ("measure_baseline", {("seed",): "x"}, [], "$.seed"),
@@ -282,7 +282,6 @@ class TestCli:
         ("nonlinear_example", {}, ["--resolution", "32"], "$.checks[0]"),
         ("nonlinear_example", {("regions", "core", "bounds"): [0.01, 2, 0.01, 2]}, [],
          "$.checks[2]"),
-        ("nonlinear_example", {("checks", 0, "heights"): "x"}, [], "$.checks[0].heights"),
         ("nonlinear_example", {("checks", 2, "regions"): "K"}, [], "$.checks[2].regions"),
         ("measure_baseline", {
             ("regions", "edge"): {"kind": "rect", "bounds": [0.01, 2, 0.01, 2]},
@@ -322,11 +321,9 @@ class TestCli:
          "$.measures.crossing.value_by_count[2]"),
         ("nonlinear_example", {("measures", "crossing", "points", 0): [5.37, 5.63, 1.0]}, [],
          "$.measures.crossing.points[0]"),
-        # no trials, or no or a non-positive height, is a configuration error
+        # no trials is a configuration error
         ("measure_baseline", {("checks", 6, "trials"): 0}, [], "$.checks[6]"),
         ("measure_baseline", {("checks", 6, "trials"): -3}, [], "$.checks[6]"),
-        ("nonlinear_example", {("checks", 0, "heights"): [-1.0]}, [], "$.checks[0]"),
-        ("nonlinear_example", {("checks", 0, "heights"): []}, [], "$.checks[0]"),
         # nor is a check that would compare nothing
         ("measure_baseline", {("checks", 5, "regions"): []}, [], "$.checks[5]"),
         # a check's fixed bounds, coefficients and slices, and an interior's
@@ -341,8 +338,21 @@ class TestCli:
         ("measure_baseline", {("checks", 8, "ns"): [2]}, [], "$.checks[8]: unknown keys ['ns']"),
         ("nonlinear_example", {("regions", "interior", "margin"): 1}, [],
          "$.regions.interior: unknown keys ['margin']"),
+        # nor are the bounds and the schedule that the measure fixes, the
+        # crossed plateaus' heights, or an interior's role, which is open
+        ("measure_baseline", {("checks", 0, "tol"): 5e-3}, [],
+         "$.checks[0]: unknown keys ['tol']"),
+        ("measure_baseline", {("checks", 5, "rt_tol"): 1e-9}, [],
+         "$.checks[5]: unknown keys ['rt_tol']"),
+        ("measure_baseline", {("checks", 5, "max_steps"): 8}, [],
+         "$.checks[5]: unknown keys ['max_steps']"),
+        ("nonlinear_example", {("checks", 0, "heights"): [0.5, 1.0, 2.0]}, [],
+         "$.checks[0]: unknown keys ['heights']"),
+        ("nonlinear_example", {("regions", "interior", "role"): "open"}, [],
+         "$.regions.interior: unknown keys ['role']"),
         # json reads NaN and Infinity: a scenario number must be finite
-        ("measure_baseline", {("checks", 0, "tol"): math.nan}, [], "$.checks[0].tol"),
+        ("measure_baseline", {("fields", "half_tent", "factor"): math.nan}, [],
+         "$.fields.half_tent.factor"),
         ("measure_baseline", {("measures", "spikes", "points", 1, 0): math.nan}, [],
          "$.measures.spikes.points[1][0]"),
         ("nonlinear_example", {("measures", "crossing", "value_by_count", 5): math.nan}, [],
@@ -352,7 +362,8 @@ class TestCli:
         ("measure_baseline", {("frame", "x_min"): -1e308, ("frame", "x_max"): 1e308}, [],
          "$.frame"),
         # and integers of any size: this one has no float
-        ("measure_baseline", {("checks", 0, "tol"): 10 ** 400}, [], "$.checks[0].tol"),
+        ("measure_baseline", {("fields", "half_tent", "factor"): 10 ** 400}, [],
+         "$.fields.half_tent.factor"),
         # the name is copied into report.json
         ("measure_baseline", {("name",): {"a": 1}}, [], "$.name"),
         # a positive width whose cell underflows to 0, and finite cells whose
@@ -421,12 +432,12 @@ _SAMPLE = {
     "measure": "crossing", "variant": "B", "region": "K",
 }
 # (section, kind, key, value): each key that another kind of the section takes,
-# on a kind that does not take it; and an interior region asked to be compact
+# on a kind that does not take it
 _FOREIGN_KEYS = [
     (section, kind, key, _SAMPLE[key])
     for section, kinds in _KINDS.items() for kind, fn in kinds.items()
     for key in sorted({k for other in kinds.values() for k in _keys(other)} - set(_keys(fn)))
-] + [("regions", "interior", "role", "compact")]
+]
 
 
 @pytest.mark.parametrize("section, kind, key, value", _FOREIGN_KEYS)
@@ -484,7 +495,8 @@ _SCENARIO_FILES = {
     "outside_atoms": (0, "all checks passed", _outside_atoms),
     "negated_field": (0, "all checks passed", _negated_field),
     "spikes_neg": (0, "all checks passed", _spikes_neg),
-    "compact_interior": (2, "$.regions.", None),
+    # an interior region is open, and takes no role
+    "compact_interior": (2, "$.regions.I: unknown keys ['role']", None),
     "not_utf8": (2, "configuration error", None),
     # two distributions that differ only in variant would write one file
     "variant_pair": (2, "$.artifacts.distributions[1]: ", None),
@@ -494,6 +506,8 @@ _SCENARIO_FILES = {
     "third_density": (0, "all checks passed", None),
     # 10^12 cells: past the cell budget before any raster is built
     "huge_frame": (2, "$.frame: ", _no_report),
+    # a bound that the measure now fixes is no key
+    "retired_key": (2, "$.checks[0]: unknown keys ['tol']", _no_report),
 }
 
 
@@ -563,8 +577,8 @@ def _leaves(node, keys=()):
 _BUNDLED = {name: json.loads(bundled_scenario_path(name).read_text())
             for name in ("nonlinear_example", "measure_baseline")}
 _LEAVES = [(name, keys) for name, data in _BUNDLED.items() for keys in _leaves(data)]
-# Numbers stay small: a scenario may ask for max_steps radii or an nx-wide
-# grid, and loading builds them.
+# Numbers stay small: a scenario may ask for an nx-wide grid, and loading
+# builds it.
 _JSON_VALUES = st.one_of(
     st.text(max_size=4), st.none(), st.booleans(),
     st.integers(-3, 300), st.floats(-1e3, 1e3),
