@@ -30,6 +30,10 @@ sampled value. Each family of measure builds it exactly, in one way:
 Both paths sort only that box for the distinct values, and join the zero
 level and the field's minimum. Either way the integral carries no
 quadrature error.
+
+A unit ramp over a distance map is a non-decreasing function of the map,
+so for a point-count measure the reconstruction schedule reads each of a
+map's ramps off one distribution of the map (`_ramp_integrals`).
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfiniteMeasureError, VariantError
-from .fields import ScalarField
+from .fields import ScalarField, ramp_field
+from .grid import Frame
 from .measures import PointCountMeasure, TopologicalMeasure
 from .regions import _bbox
 
@@ -101,19 +106,12 @@ class DistributionFn:
         object.__setattr__(self, "thresholds", t)
         object.__setattr__(self, "values", v)
 
-    def _lookup(self, t: float, side: str) -> float:
-        if math.isinf(t):
-            return 0.0 if t > 0 else self.left_limit
-        i = int(np.searchsorted(self.thresholds, t, side=side)) - 1
-        return self.left_limit if i < 0 else float(self.values[i])
-
     def __call__(self, t: float) -> float:
         """F(t)."""
-        return self._lookup(t, "right")
-
-    def left_value(self, t: float) -> float:
-        """F(t-): the limit from the left."""
-        return self._lookup(t, "left")
+        if math.isinf(t):
+            return 0.0 if t > 0 else self.left_limit
+        i = int(np.searchsorted(self.thresholds, t, side="right")) - 1
+        return self.left_limit if i < 0 else float(self.values[i])
 
     def integral(self) -> float:
         """Exact integral of the step representation from its first breakpoint."""
@@ -160,6 +158,10 @@ class _LevelEvaluator:
     Segment i is the constancy interval [v_i, v_{i+1}) of F; segment -1 is
     the ray below the range, segment m-1 the zero tail.
 
+    Segment i is probed as {f > v_i}, which is its set exactly. A probe at
+    the midpoint of [v_i, v_{i+1}) would not be: between two adjacent floats
+    the midpoint rounds onto one of them.
+
     A marked point leaves {f > t} exactly when t crosses its cell's value v_j,
     between segments j - 1 and j; those segments are the anchors at which
     `refine` prefers to split a bracket.
@@ -198,16 +200,13 @@ class _LevelEvaluator:
     def m(self) -> int:
         return len(self.levels)
 
-    def threshold_for_segment(self, i: int) -> float:
-        return 0.5 * (self.levels[i] + self.levels[i + 1])
-
     def mass_of_crop(self, mask: np.ndarray) -> float:
         """Mass of the set whose cells in the crop are `mask`."""
         self.evals += 1
         return self.mu._mass_of_mask(mask, self.rows, self.cols, self.max_depth)
 
-    def value_at_threshold(self, t: float) -> float:
-        """F(t) for a t strictly between sampled values."""
+    def value_at_level(self, t: float) -> float:
+        """F(t) for a sampled value t: the mass of {f > t}."""
         sub = self.sub
         if t >= 0:
             return self.mass_of_crop(sub > t)
@@ -229,7 +228,7 @@ class _LevelEvaluator:
             else:
                 val = self.mass_of_crop(self.sub != 0.0)
         else:
-            val = self.value_at_threshold(self.threshold_for_segment(i))
+            val = self.value_at_level(float(self.levels[i]))
         self.cache[i] = val
         return val
 
@@ -269,7 +268,12 @@ def _bisection(mu: PointCountMeasure, f: ScalarField, variant: str,
         values=np.array([ev.segment_value(0)] + [v for _, v in jumps]),
         left_limit=ev.segment_value(-1),
     )
-    return F, F.integral() + float(F.thresholds[0]) * F.left_limit, ev.evals
+    return F, _stieltjes(F), ev.evals
+
+
+def _stieltjes(F: DistributionFn) -> float:
+    """rho from F: integral_[a,b] F(t) dt + a * F(a-), a = F's first breakpoint."""
+    return F.integral() + float(F.thresholds[0]) * F.left_limit
 
 
 def _layer_cake(f: ScalarField, variant: str, total: float,
@@ -358,6 +362,48 @@ def quasi_integral(
         refinement_iterations=evals,
     )
     return QuasiIntegralResult(value=value, distribution=F, diagnostics=diag)
+
+
+def _ramp_integrals(mu: TopologicalMeasure, frame: Frame, box: tuple[slice, slice],
+                    dist: np.ndarray, widths: list[float]) -> list[float]:
+    """rho of the unit ramp `ramp_field(frame, box, dist, 1.0, w)` for each
+    width w, under variant B, from one distribution per distance map.
+
+    rho is linear on the functions phi(g) of one field g, so for the
+    non-decreasing phi(d) = min(1, d / w), with phi(0) = 0, rho of a ramp
+    can be read off the distribution G of g alone. Here g is the distance
+    clipped at the widest width, min(dist, max(widths)); every ramp is
+    phi(g), since a cell at or beyond the widest width is 1.0 on each ramp.
+
+    The read-off is exact, bit for bit. fl(d / w) is non-decreasing in d,
+    so for t < 1 each set {ramp > t} is {g > d} for the largest sampled d
+    whose image is at most t. Both sets crop to the same box of non-zero
+    values, so the mass kernel sees the same mask and returns the same bits.
+    F therefore jumps at the images of G's jumps; where several jumps of G
+    share one image, F takes the value after the last of them. Its arrays
+    are the ones the bisection of the built ramp returns, so rho is too.
+
+    An additive measure's rho is the sum of level * mass over the ramp's own
+    levels. Distances that share an image pool their masses before the
+    product, so its bits cannot be read off G: it keeps one layer cake per
+    width.
+    """
+    if not isinstance(mu, PointCountMeasure):
+        return [quasi_integral(mu, ramp_field(frame, box, dist, 1.0, w)).value
+                for w in widths]
+    clipped = np.zeros(frame.shape)
+    clipped[box] = np.minimum(dist, max(widths))
+    G = quasi_integral(mu, ScalarField._of(frame, clipped)).distribution
+    return [_stieltjes(_ramp_distribution(G, w)) for w in widths]
+
+
+def _ramp_distribution(G: DistributionFn, w: float) -> DistributionFn:
+    """F of min(1, g / w), read off the distribution G of a field g >= 0:
+    each jump of G moves to its image, and jumps that share an image merge
+    into the last of them. G's first breakpoint is g's minimum, 0.0."""
+    images = np.concatenate((G.thresholds[:1], np.minimum(1.0, G.thresholds[1:] / w)))
+    last = np.flatnonzero(np.r_[images[1:] != images[:-1], True])
+    return DistributionFn._of(images[last], G.values[last], G.left_limit)
 
 
 def linear_oracle(mu: TopologicalMeasure, f: ScalarField) -> float:

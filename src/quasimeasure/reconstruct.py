@@ -6,6 +6,14 @@ to one on it. Both extrema are attained along a schedule of unit ramps
 over the distance map of their support (the open target itself, or the
 compact target's dilation) that steepen toward the target, so a short
 schedule recovers the measure on well-separated regions exactly.
+
+Every ramp is min(1, dist / width), a non-decreasing function of one
+distance map with value 0 at 0. rho is linear on the functions of one
+field, so for a point-count measure no ramp is built: the map's one
+distribution gives rho of each of its ramps exactly, bit for bit (see
+`integration._ramp_integrals`). An open target's eight ramps share one
+map, and so one distribution; a compact target's dilations each have
+their own.
 """
 
 from __future__ import annotations
@@ -13,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FrameError, GeometryError
-from .fields import distance_map, ramp_field
-from .integration import QuasiIntegral
+from .fields import distance_map
+from .integration import QuasiIntegral, _ramp_integrals
 from .measures import DENSITY, TopologicalMeasure, tm_eval
 from .regions import COMPACT, OPEN, Region, dilate
 
@@ -82,15 +90,10 @@ def _schedule(rho: QuasiIntegral, target: Region) -> ReconstructionReport:
         return ReconstructionReport((), 0.0, True, True)
     frame = target.frame
     is_open = target.role == OPEN
-    box, dist = distance_map(target) if is_open else (None, None)
     trace = []
-    for k in range(_STEPS, 0, -1):
-        if not is_open:
-            try:
-                box, dist = distance_map(dilate(target, k).with_role(OPEN))
-            except FrameError:
-                continue
-        trace.append((k, rho(ramp_field(frame, box, dist, 1.0, k * frame.min_cell))))
+    for (box, dist), radii in _supports(target):
+        widths = [k * frame.min_cell for k in radii]
+        trace += zip(radii, _ramp_integrals(rho.mu, frame, box, dist, widths))
     if not trace:
         raise FrameError("every dilation in the schedule exits the frame")
     values = [v for _, v in trace]
@@ -103,6 +106,23 @@ def _schedule(rho: QuasiIntegral, target: Region) -> ReconstructionReport:
         trace=tuple(trace), estimate=estimate, monotone=monotone,
         converged=len(values) >= 2 and abs(values[-1] - values[-2]) <= rt_tol,
     )
+
+
+def _supports(target: Region):
+    """Each distance map of the schedule, with the radii whose ramps it
+    carries: an open target's one map carries every radius, and a compact
+    target's k-cell dilation radius k alone. A dilation that reaches the
+    frame's edge ring is skipped."""
+    radii = list(range(_STEPS, 0, -1))
+    if target.role == OPEN:
+        yield distance_map(target), radii
+        return
+    for k in radii:
+        try:
+            support = distance_map(dilate(target, k).with_role(OPEN))
+        except FrameError:
+            continue
+        yield support, [k]
 
 
 @dataclass(frozen=True)

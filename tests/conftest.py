@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -47,11 +48,19 @@ def breakpoints(F) -> list[tuple[float, float]]:
     return list(zip(F.thresholds.tolist(), F.values.tolist()))
 
 
+def left_value(F: DistributionFn, t: float) -> float:
+    """F(t-): the limit of F from the left."""
+    if math.isinf(t):
+        return 0.0 if t > 0 else F.left_limit
+    i = int(np.searchsorted(F.thresholds, t, side="left")) - 1
+    return F.left_limit if i < 0 else float(F.values[i])
+
+
 def interval_mass(F: DistributionFn, a: float, b: float) -> float:
     """Mass the induced measure assigns to the open interval (a, b): F(a) - F(b-)."""
     if not a < b:
         raise DomainError(f"need a < b, got ({a}, {b})")
-    return F(a) - F.left_value(b)
+    return F(a) - left_value(F, b)
 
 
 def same_region(a: Region, b: Region) -> bool:

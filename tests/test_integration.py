@@ -24,12 +24,13 @@ from quasimeasure import (
 )
 from quasimeasure import integration
 from quasimeasure.checks import check_extension_consistency
+from quasimeasure.fields import ramp_field
 from quasimeasure.integration import VARIANT_A, VARIANT_B
 from quasimeasure.measures import ATOMIC
 from quasimeasure.presets import crossing_fields, crossing_sum, standard_frame
 from quasimeasure.regions import COMPACT, OPEN, Region, _bbox, point_cells
 
-from conftest import breakpoints, interval_mass, zero_field
+from conftest import breakpoints, interval_mass, left_value, zero_field
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +50,7 @@ class TestDistributionGolden:
         assert breakpoints(F) == [(0.0, 1.0), (1.0, 0.5), (2.0, 0.0)]
         # right-continuity at the jump
         assert F(1.0) == 0.5
-        assert F.left_value(1.0) == 1.0
+        assert left_value(F, 1.0) == 1.0
 
     def test_zero_field(self, frame64, crossing):
         F = distribution_function(crossing, zero_field(frame64))
@@ -617,7 +618,31 @@ def test_every_level_oracle(crossing, n):
             assert F.left_limit == left
             assert [F(t) for t in levels.tolist()] == want
             if variant == VARIANT_B:
-                assert F.left_value(0.0) == F(0.0)
+                assert left_value(F, 0.0) == F(0.0)
+
+
+@pytest.mark.parametrize("variant", [VARIANT_A, VARIANT_B])
+def test_probe_between_adjacent_float_levels(variant):
+    """A square of 0.3 whose centre holds 0.1 + 0.2, the next float up, with
+    a marked point there: the point leaves {f > t} at 0.30000000000000004.
+    A probe at the midpoint of the two levels rounds onto one of them, and
+    measured the set above the upper one."""
+    frame = standard_frame(16)
+    v = np.zeros(frame.shape)
+    v[4:12, 4:12] = 0.3
+    v[7:9, 7:9] = 0.1 + 0.2
+    assert v[7, 7] == np.nextafter(0.3, 1.0)
+    point = np.array([[frame.x_min + 7.5 * frame.dx, frame.y_min + 7.5 * frame.dy]])
+    mu = PointCountMeasure(point, np.array([0.0, 1.0]))
+    f = ScalarField(frame, v)
+    F = distribution_function(mu, f, variant)
+    assert breakpoints(F) == [(0.0, 1.0), (0.1 + 0.2, 0.0)]
+    assert F(0.3) == 1.0
+    for g in (f, scale(f, -1.0)):
+        levels, want, left = _every_level_oracle(mu, g, variant)
+        F = distribution_function(mu, g, variant)
+        assert F.left_limit == left
+        assert [F(t) for t in levels.tolist()] == want
 
 
 def _probed_masks(monkeypatch):
@@ -829,3 +854,61 @@ def test_layer_cake_starts_at_the_minimum(frame64, variant):
     mu = AtomicMeasure(np.array([[3.13, 7.21], [6.47, 1.95]]), np.array([1.0, 2.5]))
     assert mu.atoms(h)[0].min() > h.values.min()
     assert distribution_function(mu, h, variant).thresholds[0] == h.values.min()
+
+
+# -- every ramp's rho read off one distribution of the distance map ----------
+
+
+def _adversarial_ramp_case(rng, frame):
+    """A distance map (box, dist) of adjacent floats, of distances whose
+    images d / w collide at w = 3 * min_cell, and of distances beyond the
+    widest width, with 2 to 6 marked points, all but one on colliding cells,
+    and a random valid table: sorted increments make it convex, so
+    superadditive."""
+    w3, widest = 3 * frame.min_cell, 8 * frame.min_cell
+    pool = []
+    while len(pool) < 10:
+        d = rng.uniform(0.0, widest)
+        e = np.nextafter(d, np.inf)
+        if len(pool) < 6 and not (d < w3 and d / w3 == e / w3):
+            continue  # the first three pairs collide at w3
+        pool += [d, e]
+    pool += list(rng.uniform(widest, 2 * widest, size=3)) + [widest, 0.0]
+    ny, nx = frame.shape
+    box = (slice(2, ny - 2), slice(3, nx - 1))
+    shape = (ny - 4, nx - 4)
+    cells = rng.permutation(shape[0] * shape[1])
+    dist = rng.uniform(0.0, 1.5 * widest, size=shape[0] * shape[1])
+    dist[cells[:len(pool)]] = pool
+    dist[cells[len(pool):3 * len(pool)]] = rng.choice(pool, size=2 * len(pool))
+    n = int(rng.integers(2, 7))
+    marked = np.r_[cells[:n - 1], cells[-1]]
+    rows, cols = np.unravel_index(marked, shape)
+    points = np.column_stack([frame.x_min + (cols + 3.5) * frame.dx,
+                              frame.y_min + (rows + 2.5) * frame.dy])
+    table = np.r_[0.0, np.cumsum(np.sort(rng.uniform(0.0, 1.0, size=n)))]
+    return PointCountMeasure(points, table), box, dist.reshape(shape)
+
+
+def test_ramp_read_off_on_adversarial_distance_maps():
+    """The read-off gives each ramp's rho and F bit for bit as the bisection
+    of the built ramp does, where distances are adjacent floats, collide
+    under d / w, or lie beyond the widest width."""
+    frame = standard_frame(16)
+    widths = [k * frame.min_cell for k in range(8, 0, -1)]
+    rng = np.random.default_rng(28)
+    collisions = 0
+    for _ in range(60):
+        mu, box, dist = _adversarial_ramp_case(rng, frame)
+        rhos = integration._ramp_integrals(mu, frame, box, dist, widths)
+        clipped = np.zeros(frame.shape)
+        clipped[box] = np.minimum(dist, widths[0])
+        G = distribution_function(mu, ScalarField(frame, clipped))
+        for w, rho in zip(widths, rhos):
+            ramp = ramp_field(frame, box, dist, 1.0, w)
+            assert repr(rho) == repr(quasi_integral(mu, ramp).value)
+            _same_distribution(integration._ramp_distribution(G, w),
+                               distribution_function(mu, ramp))
+        images = np.unique(dist) / widths[5]
+        collisions += int((images[1:] == images[:-1]).sum())
+    assert collisions >= 60 * 3

@@ -22,7 +22,7 @@ from quasimeasure import (
 from quasimeasure.grid import edge_cells
 from quasimeasure.presets import crossing_measure, standard_frame
 
-from conftest import interval_mass
+from conftest import interval_mass, left_value
 
 FRAME = standard_frame(64)
 CROSSING = crossing_measure()
@@ -120,7 +120,7 @@ def test_interval_mass_non_negative_and_additive(rect, ramp, cut):
     assert interval_mass(F, lo, hi) >= 0.0
     total = interval_mass(F, lo, hi)
     assert total == pytest.approx(
-        interval_mass(F, lo, mid) + interval_mass(F, mid, hi) + (F.left_value(mid) - F(mid)),
+        interval_mass(F, lo, mid) + interval_mass(F, mid, hi) + (left_value(F, mid) - F(mid)),
         abs=1e-12,
     )
 

@@ -265,6 +265,11 @@ def _cell_center_points(rng, frame, n):
 def _measure(kind, frame, rng):
     if kind == "point_count":
         return PointCountMeasure(_cell_center_points(rng, frame, 5), VALUE_BY_COUNT)
+    if kind == "point_count_table":
+        # sorted increments make a convex table, which is superadditive
+        n = int(rng.integers(2, 8))
+        table = np.r_[0.0, np.cumsum(np.sort(rng.uniform(0.0, 1.0, size=n)))]
+        return PointCountMeasure(_cell_center_points(rng, frame, n), table)
     if kind == "density":
         return DensityMeasure(0.7)
     return AtomicMeasure(_cell_center_points(rng, frame, 4), rng.uniform(0.1, 3.0, size=4))
@@ -317,7 +322,8 @@ def _outcome(estimator, rho, region):
     return r.trace, r.estimate, r.monotone, r.converged
 
 
-@pytest.mark.parametrize("measure_kind", ["point_count", "density", "atomic"])
+@pytest.mark.parametrize("measure_kind",
+                         ["point_count", "density", "atomic", "point_count_table"])
 @pytest.mark.parametrize("frame_name", list(_FRAMES))
 def test_schedule_equals_per_radius_plateaus(frame_name, measure_kind):
     frame = _FRAMES[frame_name]
@@ -338,6 +344,9 @@ def test_schedule_equals_per_radius_plateaus(frame_name, measure_kind):
             got = _outcome(new, rho, region)
             want = _outcome(ref, rho, region)
             assert got == want, (shape_kind, region.role)
+            if measure_kind == "point_count_table":
+                # a random table's values carry every bit of its sums
+                assert repr(got) == repr(_full_frame_outcome(rho, region))
             outcomes.append((region.role, got))
     # the seeded targets reach the compact side's skipped steps and its error
     assert any(got is FrameError for _, got in outcomes)

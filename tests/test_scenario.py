@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -597,3 +598,63 @@ def test_mutated_scenario_loads_or_names_its_path(leaf, value):
         Scenario(data)
     except ConfigError as exc:
         assert str(exc).startswith("$"), str(exc)
+
+
+def _runnable(name):
+    """A bundled scenario cut down to run in a fraction of a second: every
+    `trials` is 2, and the frame is 64^2 (measure_baseline's is 128^2)."""
+    data = copy.deepcopy(_BUNDLED[name])
+    for check in data["checks"]:
+        if "trials" in check:
+            check["trials"] = 2
+    data["frame"]["nx"] = data["frame"]["ny"] = 64
+    return data
+
+
+def _run_value(rng, old):
+    """A JSON value: most often a number near a numeric leaf's own, else one
+    of a random type. Integers stay small, so that no mutated frame or trial
+    count makes a run slow."""
+    kind = int(rng.integers(8))
+    if isinstance(old, (int, float)) and not isinstance(old, bool) and kind < 4:
+        return int(rng.integers(-3, 40)) if isinstance(old, int) else \
+            float(old + rng.normal(0.0, 1.5))
+    if kind == 0:
+        return int(rng.integers(-3, 40))
+    if kind == 1:
+        return float(rng.uniform(-2.0, 12.0))
+    if kind == 2:
+        return str(rng.choice(["", "K", "f", "open", "compact", "x"]))
+    if kind == 3:
+        return [None, True, False][int(rng.integers(3))]
+    if kind == 4:
+        return rng.integers(-3, 12, size=int(rng.integers(4))).tolist()
+    if kind == 5:
+        return {"x": int(rng.integers(-3, 3))}
+    return float(rng.uniform(0.0, 1.0))
+
+
+def test_mutated_scenario_runs_to_an_exit_code(tmp_path, capsys):
+    """Single-leaf mutations of the bundled scenarios, run through the CLI:
+    each exits 0, 1 or 2, none raises, and every exit 2 names its path."""
+    rng = np.random.default_rng(28)
+    codes = []
+    for i in range(60):
+        name = sorted(_BUNDLED)[i % 2]
+        data = _runnable(name)
+        leaves = _leaves(data)
+        keys = leaves[int(rng.integers(len(leaves)))]
+        old = data
+        for key in keys:
+            old = old[key]
+        _set_leaf(data, keys, _run_value(rng, old))
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", str(path), "--out", str(tmp_path / f"out{i}")])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (name, keys)
+        if code == 2:
+            assert err.startswith("configuration error: $"), (name, keys, err)
+        codes.append(code)
+    # the mutations reach both the runner and the loader's errors
+    assert 0 in codes and 2 in codes
