@@ -196,7 +196,15 @@ def distance_map(outer: Region) -> tuple[tuple[slice, slice], np.ndarray]:
     if box is None:
         return (slice(0, 0), slice(0, 0)), np.zeros((0, 0))
     box = _grow(box, 1, frame.shape)
-    return box, ndimage.distance_transform_edt(outer.mask[box], sampling=(frame.dy, frame.dx))
+    return _part_distance_map(frame, (box, outer.mask[box]))
+
+
+def _part_distance_map(frame: Frame, part) -> tuple[tuple[slice, slice], np.ndarray]:
+    """(box, dist) of a boxed part (box, cells) whose box holds the set grown
+    by one ring, or reaches the frame's edge: the `distance_map` of the set,
+    from the one Euclidean transform of the cells on the box."""
+    box, cells = part
+    return box, ndimage.distance_transform_edt(cells, sampling=(frame.dy, frame.dx))
 
 
 def ramp_field(frame: Frame, box: tuple[slice, slice], dist: np.ndarray,

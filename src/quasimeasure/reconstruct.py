@@ -12,8 +12,9 @@ distance map with value 0 at 0. rho is linear on the functions of one
 field, so for a point-count measure no ramp is built: the map's one
 distribution gives rho of each of its ramps exactly, bit for bit (see
 `integration._ramp_integrals`). An open target's eight ramps share one
-map, and so one distribution; a compact target's dilations each have
-their own.
+map, and so one distribution. A compact target's dilations are all read
+off one chessboard distance map (`regions._dilations`), but each keeps its
+own Euclidean distance map and its own distribution.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FrameError, GeometryError
-from .fields import distance_map
+from .fields import _part_distance_map, distance_map
 from .integration import QuasiIntegral, _ramp_integrals
 from .measures import DENSITY, TopologicalMeasure, tm_eval
-from .regions import COMPACT, OPEN, Region, dilate
+from .regions import COMPACT, OPEN, Region, _dilations
 
 
 @dataclass(frozen=True)
@@ -111,18 +112,16 @@ def _schedule(rho: QuasiIntegral, target: Region) -> ReconstructionReport:
 def _supports(target: Region):
     """Each distance map of the schedule, with the radii whose ramps it
     carries: an open target's one map carries every radius, and a compact
-    target's k-cell dilation radius k alone. A dilation that reaches the
-    frame's edge ring is skipped."""
+    target's k-cell dilation radius k alone. The compact target's
+    dilations are the boxed parts of one chessboard distance map
+    (`regions._dilations`), which skips a dilation that reaches the frame's
+    edge ring; each part gets its own Euclidean distance map."""
     radii = list(range(_STEPS, 0, -1))
     if target.role == OPEN:
         yield distance_map(target), radii
         return
-    for k in radii:
-        try:
-            support = distance_map(dilate(target, k).with_role(OPEN))
-        except FrameError:
-            continue
-        yield support, [k]
+    for k, part in _dilations(target.mask, radii):
+        yield _part_distance_map(target.frame, part), [k]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ frame boundary (outside the frame everything is connected through the
 unbounded exterior of the window); the bounded ones are the holes. The
 kernel (`_components_in_boxes`, `_holes`) gives components and holes as
 boxed parts, each a bounding box and the set's cells inside it, and the
-point-count mass recursion is its one caller.
+point-count mass recursion is its one caller. `_dilations` gives every
+dilation of the reconstruction schedule as boxed parts of one chessboard
+distance map.
 """
 
 from __future__ import annotations
@@ -238,6 +240,42 @@ def dilate(r: Region, k: int) -> Region:
     sub = ndimage.binary_dilation(r.mask[box], structure=EIGHT_CONN, iterations=k,
                                   border_value=0)
     return _embed(r, box, sub)
+
+
+def _dilations(mask: np.ndarray, radii) -> list[tuple[int, _Part]]:
+    """(k, part) for each radius k in `radii` whose k-cell dilation of `mask`
+    stays off the frame's edge ring, in the order of `radii`. The part is
+    the dilation's bounding box grown by one ring, and the dilation's cells
+    on it: the crop that `fields.distance_map` of the dilation transforms.
+
+    One chessboard distance transform gives every dilation, as the cells at
+    distance <= k. A two-pass chamfer with unit weights over the 3x3
+    neighbourhood (Rosenfeld & Pfaltz, J. ACM 1966) gives the exact
+    Chebyshev distance in cells, so {c <= k} is the k-fold 3x3 dilation of
+    `dilate`. The transform runs on the largest part only: a path from a
+    cell to its nearest set cell stays inside their common bounding
+    rectangle, which lies in the part, so the crop changes no value.
+
+    The dilation's box is the set's box grown by k, so it meets the edge
+    ring exactly when the set's box starts within k cells of it, and the
+    part needs no clamp.
+    """
+    box = _bbox(mask)
+    if box is None:
+        return []
+    (rows, cols), (ny, nx) = box, mask.shape
+    radii = [k for k in radii
+             if rows.start > k and cols.start > k and rows.stop < ny - k and cols.stop < nx - k]
+    if not radii:
+        return []
+    big = _grow(box, max(radii) + 1, mask.shape)
+    dist = ndimage.distance_transform_cdt(~mask[big], metric="chessboard")
+    r0, c0 = big[0].start, big[1].start
+    parts = []
+    for k in radii:
+        part = _grow(box, k + 1, mask.shape)
+        parts.append((k, (part, dist[_shift(part, -r0, -c0)] <= k)))
+    return parts
 
 
 # -- marked points ------------------------------------------------------

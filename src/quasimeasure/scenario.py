@@ -122,7 +122,11 @@ def _points(scenario, value, path: str) -> tuple[tuple[float, ...], ...]:
 def _bounds(scenario, value, path: str) -> tuple[float, ...]:
     if not (isinstance(value, list) and len(value) == 4):
         _fail(path, f"expected bounds [x0, x1, y0, y1], got {value!r}")
-    return _floats(scenario, value, path)
+    x0, x1, y0, y1 = bounds = _floats(scenario, value, path)
+    # inverted bounds would make a silently empty rectangle
+    if not (x0 < x1 and y0 < y1):
+        _fail(path, f"expected x0 < x1 and y0 < y1, got {value!r}")
+    return bounds
 
 
 def _one_of(*options: str):

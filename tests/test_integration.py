@@ -20,10 +20,11 @@ from quasimeasure import (
     quasi_integral,
     rect_region,
     scale,
+    sup_norm,
     truncate,
 )
 from quasimeasure import integration
-from quasimeasure.checks import check_extension_consistency
+from quasimeasure.checks import check_extension_consistency, draw_field
 from quasimeasure.fields import ramp_field
 from quasimeasure.integration import VARIANT_A, VARIANT_B
 from quasimeasure.measures import ATOMIC
@@ -912,3 +913,56 @@ def test_ramp_read_off_on_adversarial_distance_maps():
         images = np.unique(dist) / widths[5]
         collisions += int((images[1:] == images[:-1]).sum())
     assert collisions >= 60 * 3
+
+
+# -- the paper's norm identity: ||rho|| = mu(X) for a finite measure --------
+
+
+def _norm_case(rng, frame, i):
+    """2 to 7 marked points at cell centres inside [2, 8]^2, and a random valid
+    table whose increments are dyadic (k / 8), non-dyadic, or a mix: sorted
+    increments make it convex, so superadditive."""
+    n = int(rng.integers(2, 8))
+    lo, hi = int(2 / frame.dx) + 1, int(8 / frame.dx) - 1
+    cols, rows = rng.integers(lo, hi, size=n), rng.integers(lo, hi, size=n)
+    points = np.column_stack([frame.x_min + (cols + 0.5) * frame.dx,
+                              frame.y_min + (rows + 0.5) * frame.dy])
+    dyadic = rng.integers(0, 9, size=n) / 8
+    increments = (dyadic, rng.uniform(0.0, 1.0, size=n),
+                  np.where(rng.random(n) < 0.5, dyadic, rng.uniform(0.0, 1.0, size=n)))[i % 3]
+    table = np.r_[0.0, np.cumsum(np.sort(increments))]
+    return PointCountMeasure(points, table)
+
+
+def _covering_plateau(rng, frame, points):
+    """A unit plateau whose flat top covers every point."""
+    (x0, y0), (x1, y1) = points.min(axis=0), points.max(axis=0)
+    m, ramp = rng.uniform(0.2, 1.0), float(rng.choice((0.3, 0.45, 0.6)))
+    inner = rect_region(frame, x0 - m, x1 + m, y0 - m, y1 + m, role=COMPACT)
+    pad = m + ramp + 0.2
+    outer = rect_region(frame, x0 - pad, x1 + pad, y0 - pad, y1 + pad, role=OPEN)
+    return build_plateau(inner, outer, 1.0, ramp)
+
+
+@pytest.mark.parametrize("variant", [VARIANT_A, VARIANT_B])
+def test_norm_is_the_total_mass(variant):
+    """The bijection is isometric for a finite measure, so ||rho|| = mu(X):
+    |rho(f)| <= ||f|| * table[-1] for signed and unsigned fields, and a unit
+    plateau whose flat top covers every marked point attains it bit for bit.
+    No slack: the bound holds exactly."""
+    frame = standard_frame(64)
+    rng = np.random.default_rng(29)
+    ratios = []
+    for i in range(60):
+        mu = _norm_case(rng, frame, i)
+        total = float(mu.value_by_count[-1])
+        plateau = _covering_plateau(rng, frame, mu.points)
+        assert repr(quasi_integral(mu, plateau, variant).value) == repr(total)
+        for j in range(20):
+            f = draw_field(rng, frame, signed=j % 2 == 1, avoid_points=mu.points)
+            value = quasi_integral(mu, f, variant).value
+            assert abs(value) <= sup_norm(f) * total, (i, j, value)
+            if total > 0:
+                ratios.append(abs(value) / (sup_norm(f) * total))
+    # the bound is reached by drawn fields too, not only by the plateau
+    assert max(ratios) == 1.0

@@ -25,9 +25,10 @@ from quasimeasure import (
     roundtrip,
     tm_eval,
 )
+from quasimeasure.fields import _part_distance_map, distance_map
 from quasimeasure.presets import VALUE_BY_COUNT, standard_frame
 from quasimeasure.reconstruct import _default_rt_tol
-from quasimeasure.regions import COMPACT, OPEN
+from quasimeasure.regions import COMPACT, OPEN, _dilations
 
 from conftest import roundtrip_catalog
 
@@ -448,3 +449,98 @@ def test_box_ramps_equal_the_full_frame_schedule(gate_masks, crossing):
     assert any(role == COMPACT and got is not FrameError and 0 < len(got[0]) < 8
                for role, got in outcomes)
     assert any(role == OPEN and len(got[0]) == 8 for role, got in outcomes)
+
+
+# -- one chessboard map against the dilations it replaced ------------------
+#
+# `regions._dilations` reads every k-cell dilation of a compact target off
+# one chessboard distance map. Each part must be the crop that
+# `distance_map` of `dilate(K, k).with_role(OPEN)` transforms, array for
+# array, and a radius must be skipped exactly where that raises FrameError.
+
+_DILATION_FRAMES = {**_FRAMES, "70x30": Frame(0.0, 7.0, 0.0, 3.0, 70, 30)}
+
+
+def _dilation_pattern(kind, rng, h, w):
+    """An h x w mask, cropped to its own cells: several components, a holed
+    block, thin strips, or a block with 15% of its cells punched out."""
+    m = np.zeros((h, w), dtype=bool)
+    if kind == "components":
+        for _ in range(rng.integers(2, 5)):
+            _rect(m, rng, 0, h, w, max(h // 2, 1), max(w // 2, 1))
+    elif kind == "holes":
+        m[:] = True
+        for _ in range(rng.integers(1, 4)):
+            r, c = rng.integers(0, h), rng.integers(0, w)
+            m[r:r + rng.integers(1, 3), c:c + rng.integers(1, 3)] = False
+    elif kind == "strips":
+        for width in rng.integers(1, 3, size=rng.integers(1, 4)):
+            if rng.random() < 0.5:
+                r = rng.integers(0, max(h - width, 0) + 1)
+                m[r:r + width, :] = True
+            else:
+                c = rng.integers(0, max(w - width, 0) + 1)
+                m[:, c:c + width] = True
+    else:
+        m[:] = rng.random((h, w)) >= 0.15
+    if not m.any():
+        m[rng.integers(0, h), rng.integers(0, w)] = True
+    rows, cols = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
+    return m[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+
+
+def _placed_target(kind, frame, rng, gap):
+    """A compact target whose cells start `gap` cells from a random side of
+    the frame (0: on the edge ring), placed at random along that side."""
+    ny, nx = frame.shape
+    pattern = _dilation_pattern(kind, rng, int(rng.integers(1, ny // 3 + 1)),
+                                int(rng.integers(1, nx // 3 + 1)))
+    h, w = pattern.shape
+    r, c = rng.integers(0, ny - h + 1), rng.integers(0, nx - w + 1)
+    side = rng.integers(4)
+    if side == 0:
+        r = gap
+    elif side == 1:
+        r = ny - gap - h
+    elif side == 2:
+        c = gap
+    else:
+        c = nx - gap - w
+    mask = np.zeros(frame.shape, dtype=bool)
+    mask[r:r + h, c:c + w] = pattern
+    return Region(frame, mask, COMPACT)
+
+
+@pytest.mark.parametrize("frame_name", list(_DILATION_FRAMES))
+def test_chessboard_parts_equal_the_dilations(frame_name):
+    frame = _DILATION_FRAMES[frame_name]
+    rng = np.random.default_rng([frame.nx, frame.ny, 29])
+    radii = list(range(8, 0, -1))
+    assert _dilations(np.zeros(frame.shape, dtype=bool), radii) == []
+    kept, skipped = set(), set()
+    for gap in range(11):
+        for kind in ("components", "holes", "strips", "punched") * 3:
+            K = _placed_target(kind, frame, rng, gap)
+            parts = _dilations(K.mask, radii)
+            by_radius = dict(parts)
+            want = []
+            for k in radii:
+                try:
+                    outer = dilate(K, k).with_role(OPEN)
+                except FrameError:
+                    assert k not in by_radius, (kind, gap, k)
+                    skipped.add(k)
+                    continue
+                want.append(k)
+                kept.add(k)
+                box, dist = distance_map(outer)
+                part_box, cells = by_radius[k]
+                assert part_box == box, (kind, gap, k)
+                assert np.array_equal(cells, outer.mask[box]), (kind, gap, k)
+                got_box, got = _part_distance_map(frame, by_radius[k])
+                assert got_box == box
+                assert got.dtype == dist.dtype and got.tobytes() == dist.tobytes()
+            assert [k for k, _ in parts] == want
+    # every radius is both kept and skipped somewhere: the edge gaps reach
+    # each radius's boundary case
+    assert kept == skipped == set(radii)

@@ -301,6 +301,15 @@ class TestCli:
          "$.regions.tent_base.bounds[0]"),
         ("nonlinear_example", {("fields", "f", "inner"): [1, 7, 5, "7"]}, [],
          "$.fields.f.inner[3]"),
+        # inverted or degenerate bounds would make a silently empty rectangle
+        ("nonlinear_example", {("regions", "K", "bounds"): [13, 7, 5, 7]}, [],
+         "$.regions.K.bounds: expected x0 < x1 and y0 < y1, got [13, 7, 5, 7]"),
+        ("nonlinear_example", {("regions", "core", "bounds"): [5, 7, 5, 5]}, [],
+         "$.regions.core.bounds"),
+        ("nonlinear_example", {("fields", "f", "inner"): [7, 1, 5, 7]}, [],
+         "$.fields.f.inner"),
+        ("nonlinear_example", {("fields", "g", "outer"): [4.5, 7.5, 7.5, 0.5]}, [],
+         "$.fields.g.outer"),
         ("nonlinear_example", {("fields", "f", "height"): "1"}, [], "$.fields.f.height"),
         ("nonlinear_example", {("fields", "g", "ramp"): True}, [], "$.fields.g.ramp"),
         ("measure_baseline", {("fields", "half_tent", "factor"): "x"}, [],
@@ -509,6 +518,8 @@ _SCENARIO_FILES = {
     "huge_frame": (2, "$.frame: ", _no_report),
     # a bound that the measure now fixes is no key
     "retired_key": (2, "$.checks[0]: unknown keys ['tol']", _no_report),
+    # x0 > x1 would rasterize to an empty rectangle
+    "inverted_bounds": (2, "$.regions.K.bounds: ", _no_report),
 }
 
 
