@@ -284,12 +284,11 @@ def _layer_cake(f: ScalarField, variant: str, total: float,
     zero-valued atom's mass is never used, and each non-zero level gathers
     the same atoms there, in the same raster order, as over the whole raster.
     """
-    if np.ndim(weights) == 0:
-        unit = weights * scale
-    elif weights.size and weights.min() * scale == weights.max() * scale:
+    weights = np.asarray(weights)
+    if weights.size and weights.min() * scale == weights.max() * scale:
         # x * scale rounds monotonically in x, so equal extremes mean equal
-        # weights; a cumulative sum of many equal floats drifts one way:
-        # count them instead
+        # weights, as for one float weight (a 0-d raster); a cumulative sum
+        # of many equal floats drifts one way: count them instead
         unit = weights.flat[0] * scale
     else:
         unit = None

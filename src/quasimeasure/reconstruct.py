@@ -12,9 +12,10 @@ distance map with value 0 at 0. rho is linear on the functions of one
 field, so for a point-count measure no ramp is built: the map's one
 distribution gives rho of each of its ramps exactly, bit for bit (see
 `integration._ramp_integrals`). An open target's eight ramps share one
-map, and so one distribution. A compact target's dilations are all read
-off one chessboard distance map (`regions._dilations`), but each keeps its
-own Euclidean distance map and its own distribution.
+map, and so one distribution. A compact target's dilations are all level
+sets of one chessboard distance map (`regions._dilations`), the one
+Chebyshev kernel behind `dilate` and `erode` too, but each keeps its own
+Euclidean distance map and its own distribution.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import FrameError, GeometryError
 from .fields import _part_distance_map, distance_map
 from .integration import QuasiIntegral, _ramp_integrals
 from .measures import DENSITY, TopologicalMeasure, tm_eval
-from .regions import COMPACT, OPEN, Region, _dilations
+from .regions import COMPACT, OPEN, Region, _bbox, _dilations, _inside
 
 
 @dataclass(frozen=True)
@@ -114,13 +115,19 @@ def _supports(target: Region):
     carries: an open target's one map carries every radius, and a compact
     target's k-cell dilation radius k alone. The compact target's
     dilations are the boxed parts of one chessboard distance map
-    (`regions._dilations`), which skips a dilation that reaches the frame's
-    edge ring; each part gets its own Euclidean distance map."""
+    (`regions._dilations`); each part gets its own Euclidean distance map.
+    A dilation that reaches the frame's edge ring is skipped: the k-cell
+    dilation is off the ring exactly when the (k + 1)-cell one stays in the
+    frame, the rule by which `dilate` raises."""
     radii = list(range(_STEPS, 0, -1))
     if target.role == OPEN:
         yield distance_map(target), radii
         return
-    for k, part in _dilations(target.mask, radii):
+    box = _bbox(target.mask)
+    radii = [k for k in radii if _inside(box, k + 1, target.frame.shape)]
+    if not radii:
+        return
+    for k, part in zip(radii, _dilations(target.mask, box, radii)):
         yield _part_distance_map(target.frame, part), [k]
 
 

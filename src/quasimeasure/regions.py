@@ -7,9 +7,10 @@ frame boundary (outside the frame everything is connected through the
 unbounded exterior of the window); the bounded ones are the holes. The
 kernel (`_components_in_boxes`, `_holes`) gives components and holes as
 boxed parts, each a bounding box and the set's cells inside it, and the
-point-count mass recursion is its one caller. `_dilations` gives every
-dilation of the reconstruction schedule as boxed parts of one chessboard
-distance map.
+point-count mass recursion is its one caller. Every dilation and erosion
+is a level set of a chessboard distance transform, and one box predicate,
+`_inside`, states both where a dilation exits the frame and where it
+reaches the edge ring.
 """
 
 from __future__ import annotations
@@ -146,19 +147,14 @@ def _grow(box: tuple[slice, slice], k: int, shape: tuple[int, int]) -> tuple[sli
 _Part = tuple[tuple[slice, slice], np.ndarray]  # (box, the set's cells inside the box)
 
 
-def _components_in_boxes(mask: np.ndarray,
-                         box: tuple[slice, slice] | None = None) -> list[_Part]:
-    """Each 4-connected component of `mask`, boxed in `mask`'s coordinates.
+def _components_in_boxes(mask: np.ndarray, box: tuple[slice, slice]) -> list[_Part]:
+    """Each 4-connected component of `mask`, whose set's bounding box is
+    `box`, boxed in `mask`'s coordinates.
 
-    The mask is labelled once, cropped to its bounding box, which a caller
-    that has already found it passes as `box`. Raster order inside the box is
-    raster order in the mask, so components come in label order. A lone
+    The mask is labelled once, cropped to the box. Raster order inside the box
+    is raster order in the mask, so components come in label order. A lone
     component's cells are a view of `mask`.
     """
-    if box is None:
-        box = _bbox(mask)
-    if box is None:
-        return []
     sub = mask[box]
     labels, n = ndimage.label(sub, structure=FOUR_CONN)
     if n == 1:
@@ -204,78 +200,68 @@ def _embed(r: Region, box: tuple[slice, slice], sub: np.ndarray) -> Region:
     return Region(r.frame, mask, r.role)
 
 
-def erode(r: Region, k: int) -> Region:
-    """Chebyshev erosion by k cells.
+def _inside(box: tuple[slice, slice], k: int, shape: tuple[int, int]) -> bool:
+    """Whether `box` grown by k cells stays inside an array of `shape`: a
+    set's k-cell dilation stays in the frame when its box is inside at k, and
+    off the frame's edge ring when it is inside at k + 1."""
+    rows, cols = box
+    return (rows.start >= k and cols.start >= k
+            and rows.stop <= shape[0] - k and cols.stop <= shape[1] - k)
 
-    Erodes the bounding box of the set only: every cell outside it is empty,
-    so `border_value=0` on the box gives the full-frame erosion.
+
+def erode(r: Region, k: int) -> Region:
+    """Chebyshev erosion by k cells: the set cells at chessboard distance > k
+    from every cell outside the set.
+
+    The transform runs on the set's bounding box padded by one empty ring,
+    which stands for everything outside the box, in the frame or beyond it:
+    every cell there is empty, and the pad is as near to the box as any.
     """
     if k < 0:
         raise ValueError("erosion radius must be >= 0")
     box = _bbox(r.mask) if k else None
     if box is None:
         return r
-    sub = ndimage.binary_erosion(r.mask[box], structure=EIGHT_CONN, iterations=k,
-                                 border_value=0)
-    return _embed(r, box, sub)
+    dist = ndimage.distance_transform_cdt(np.pad(r.mask[box], 1), metric="chessboard")
+    return _embed(r, box, dist[1:-1, 1:-1] > k)
 
 
 def dilate(r: Region, k: int) -> Region:
-    """Chebyshev dilation by k cells; FrameError if the result would exit the frame.
-
-    Dilates the set's bounding box grown by k cells only: every cell within
-    Chebyshev distance k of the set lies in it, and the frame-exit check
-    keeps it inside the frame.
+    """Chebyshev dilation by k cells, the part of `_dilations` for radius k;
+    FrameError if the result would exit the frame. A dilation that only
+    reaches the frame's edge ring stays in the frame.
     """
     if k < 0:
         raise ValueError("dilation radius must be >= 0")
     box = _bbox(r.mask) if k else None
     if box is None:
         return r
-    ny, nx = r.frame.shape
-    rows, cols = box
-    if rows.start < k or cols.start < k or rows.stop > ny - k or cols.stop > nx - k:
+    if not _inside(box, k, r.frame.shape):
         raise FrameError(f"dilation by {k} cells exits the frame")
-    box = _grow(box, k, r.frame.shape)
-    sub = ndimage.binary_dilation(r.mask[box], structure=EIGHT_CONN, iterations=k,
-                                  border_value=0)
-    return _embed(r, box, sub)
+    [(part, cells)] = _dilations(r.mask, box, [k])
+    return _embed(r, part, cells)
 
 
-def _dilations(mask: np.ndarray, radii) -> list[tuple[int, _Part]]:
-    """(k, part) for each radius k in `radii` whose k-cell dilation of `mask`
-    stays off the frame's edge ring, in the order of `radii`. The part is
-    the dilation's bounding box grown by one ring, and the dilation's cells
+def _dilations(mask: np.ndarray, box: tuple[slice, slice], radii) -> list[_Part]:
+    """The k-cell dilation of `mask`, whose set's bounding box is `box`, as a
+    boxed part for each radius k in `radii`, in that order; the callers keep
+    each one in the frame by `_inside`. The part is the dilation's bounding
+    box grown by one ring and clamped to the frame, and the dilation's cells
     on it: the crop that `fields.distance_map` of the dilation transforms.
 
     One chessboard distance transform gives every dilation, as the cells at
     distance <= k. A two-pass chamfer with unit weights over the 3x3
     neighbourhood (Rosenfeld & Pfaltz, J. ACM 1966) gives the exact
-    Chebyshev distance in cells, so {c <= k} is the k-fold 3x3 dilation of
-    `dilate`. The transform runs on the largest part only: a path from a
-    cell to its nearest set cell stays inside their common bounding
-    rectangle, which lies in the part, so the crop changes no value.
-
-    The dilation's box is the set's box grown by k, so it meets the edge
-    ring exactly when the set's box starts within k cells of it, and the
-    part needs no clamp.
+    Chebyshev distance in cells, so {c <= k} is the k-fold 3x3 dilation.
+    The transform runs on the largest part only: a path from a cell to its
+    nearest set cell stays inside their common bounding rectangle, which
+    lies in the part, so the crop changes no value.
     """
-    box = _bbox(mask)
-    if box is None:
-        return []
-    (rows, cols), (ny, nx) = box, mask.shape
-    radii = [k for k in radii
-             if rows.start > k and cols.start > k and rows.stop < ny - k and cols.stop < nx - k]
-    if not radii:
-        return []
     big = _grow(box, max(radii) + 1, mask.shape)
     dist = ndimage.distance_transform_cdt(~mask[big], metric="chessboard")
     r0, c0 = big[0].start, big[1].start
-    parts = []
-    for k in radii:
-        part = _grow(box, k + 1, mask.shape)
-        parts.append((k, (part, dist[_shift(part, -r0, -c0)] <= k)))
-    return parts
+    parts = [_grow(box, k + 1, mask.shape) for k in radii]
+    return [(part, dist[_shift(part, -r0, -c0)] <= k) for k, part in zip(radii, parts)]
 
 
 # -- marked points ------------------------------------------------------

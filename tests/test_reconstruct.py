@@ -25,12 +25,13 @@ from quasimeasure import (
     roundtrip,
     tm_eval,
 )
-from quasimeasure.fields import _part_distance_map, distance_map
+from quasimeasure.fields import distance_map
 from quasimeasure.presets import VALUE_BY_COUNT, standard_frame
-from quasimeasure.reconstruct import _default_rt_tol
-from quasimeasure.regions import COMPACT, OPEN, _dilations
+from quasimeasure.reconstruct import _default_rt_tol, _supports
+from quasimeasure.regions import COMPACT, OPEN
 
 from conftest import roundtrip_catalog
+from test_regions import full_frame_dilate
 
 
 class TestBumpSchedule:
@@ -451,12 +452,14 @@ def test_box_ramps_equal_the_full_frame_schedule(gate_masks, crossing):
     assert any(role == OPEN and len(got[0]) == 8 for role, got in outcomes)
 
 
-# -- one chessboard map against the dilations it replaced ------------------
+# -- the schedule's supports against the full-frame dilation ----------------
 #
-# `regions._dilations` reads every k-cell dilation of a compact target off
-# one chessboard distance map. Each part must be the crop that
-# `distance_map` of `dilate(K, k).with_role(OPEN)` transforms, array for
-# array, and a radius must be skipped exactly where that raises FrameError.
+# `reconstruct._supports` reads every k-cell dilation of a compact target off
+# one chessboard distance map. Each support must be the `distance_map` of
+# `full_frame_dilate(K, k).with_role(OPEN)`, scipy's dilation of the whole
+# frame, box for box and byte for byte, and a radius must be skipped exactly
+# where that raises FrameError: where the dilation exits the frame or
+# reaches its edge ring.
 
 _DILATION_FRAMES = {**_FRAMES, "70x30": Frame(0.0, 7.0, 0.0, 3.0, 70, 30)}
 
@@ -516,31 +519,24 @@ def test_chessboard_parts_equal_the_dilations(frame_name):
     frame = _DILATION_FRAMES[frame_name]
     rng = np.random.default_rng([frame.nx, frame.ny, 29])
     radii = list(range(8, 0, -1))
-    assert _dilations(np.zeros(frame.shape, dtype=bool), radii) == []
     kept, skipped = set(), set()
     for gap in range(11):
         for kind in ("components", "holes", "strips", "punched") * 3:
             K = _placed_target(kind, frame, rng, gap)
-            parts = _dilations(K.mask, radii)
-            by_radius = dict(parts)
+            supports = list(_supports(K))
             want = []
             for k in radii:
                 try:
-                    outer = dilate(K, k).with_role(OPEN)
+                    want.append((k, full_frame_dilate(K, k).with_role(OPEN)))
                 except FrameError:
-                    assert k not in by_radius, (kind, gap, k)
                     skipped.add(k)
                     continue
-                want.append(k)
                 kept.add(k)
+            assert [ks for _, ks in supports] == [[k] for k, _ in want], (kind, gap)
+            for ((got_box, got), _), (k, outer) in zip(supports, want):
                 box, dist = distance_map(outer)
-                part_box, cells = by_radius[k]
-                assert part_box == box, (kind, gap, k)
-                assert np.array_equal(cells, outer.mask[box]), (kind, gap, k)
-                got_box, got = _part_distance_map(frame, by_radius[k])
-                assert got_box == box
-                assert got.dtype == dist.dtype and got.tobytes() == dist.tobytes()
-            assert [k for k, _ in parts] == want
+                assert got_box == box, (kind, gap, k)
+                assert got.dtype == dist.dtype and got.tobytes() == dist.tobytes(), (kind, gap, k)
     # every radius is both kept and skipped somewhere: the edge gaps reach
     # each radius's boundary case
     assert kept == skipped == set(radii)

@@ -23,6 +23,7 @@ from quasimeasure.regions import (
     EIGHT_CONN,
     FOUR_CONN,
     OPEN,
+    _bbox,
     _components_in_boxes,
     _holes,
     _shift,
@@ -91,7 +92,10 @@ def _cropped_mass_of_mask(mu, mask, rows, cols, depth):
     if depth < 0:
         raise RecursionError("hole nesting exceeds grid depth; mask is corrupt")
     total = 0.0
-    for (rs, cs), comp in _components_in_boxes(mask):
+    box = _bbox(mask)
+    if box is None:
+        return total
+    for (rs, cs), comp in _components_in_boxes(mask, box):
         inside = (rows >= rs.start) & (rows < rs.stop) & (cols >= cs.start) & (cols < cs.stop)
         # hole labels are padded by one ring; label 1 is outside the hull
         r, c = rows[inside] - (rs.start - 1), cols[inside] - (cs.start - 1)
@@ -165,7 +169,10 @@ def kernel_parts(mask):
     """Each component the kernel finds in a full-frame mask, with its holes
     and its hull, all embedded back into the frame: [(comp, [hole, ...], hull)]."""
     parts = []
-    for box, comp in _components_in_boxes(mask):
+    whole = _bbox(mask)
+    if whole is None:
+        return parts
+    for box, comp in _components_in_boxes(mask, whole):
         labels, hole_parts = _holes(comp)
         # the hole labels are padded by one ring: their origin is one cell up and left
         r0, c0 = box[0].start - 1, box[1].start - 1
