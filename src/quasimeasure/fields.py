@@ -9,6 +9,7 @@ space, so level sets are computable exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -20,10 +21,19 @@ from .regions import COMPACT, Region, _bbox, _grow, dilate
 # Tolerance for the phi(0) = 0 contract of piecewise-linear maps.
 _PLM_ZERO_TOL = 1e-12
 
+_NO_BOX = (slice(0, 0), slice(0, 0))
+
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Grid-sampled real function vanishing on the frame boundary."""
+    """Grid-sampled real function vanishing on the frame boundary.
+
+    A field sorts its support once. `_box` holds every non-zero cell,
+    `_levels` are its distinct values with 0.0 joined, and `_level_index`
+    places each cell of the box among them; each is found on first use,
+    read-only, and serves every integral of the field. A field owns its
+    values, so none of them can go stale.
+    """
 
     frame: Frame
     values: np.ndarray
@@ -31,20 +41,22 @@ class ScalarField:
     def __post_init__(self):
         # a field owns its values: adding 0.0 copies the caller's array,
         # which stays as it was
-        self._own(np.ascontiguousarray(np.asarray(self.values, dtype=float)) + 0.0)
+        self._own(np.ascontiguousarray(np.asarray(self.values, dtype=float)) + 0.0, None)
 
     @classmethod
-    def _of(cls, frame: Frame, values: np.ndarray) -> "ScalarField":
+    def _of(cls, frame: Frame, values: np.ndarray,
+            box: tuple[slice, slice] | None) -> "ScalarField":
         """The field of `values`, a float array just made for it that no
         caller holds, taken without a copy. A copy would write a second
         raster into freshly mapped pages: at 512², that made `ramp_field`
-        four times slower."""
+        four times slower. `box` holds every non-zero value, or is None
+        where the caller does not know one."""
         field = object.__new__(cls)
         object.__setattr__(field, "frame", frame)
-        field._own(np.add(values, 0.0, out=values))
+        field._own(np.add(values, 0.0, out=values), box)
         return field
 
-    def _own(self, vals: np.ndarray):
+    def _own(self, vals: np.ndarray, box: tuple[slice, slice] | None):
         """Check and freeze `vals` as the values. Adding 0.0 gave the field
         one zero: -0.0 + 0.0 is 0.0, and every other value is unchanged."""
         if vals.shape != self.frame.shape:
@@ -55,20 +67,74 @@ class ScalarField:
             raise FrameError("field must vanish on the frame boundary")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        if box is not None:
+            self.__dict__["_box"] = box
 
     def _check_frame(self, other: "ScalarField"):
         if self.frame != other.frame:
             raise FrameMismatchError("fields live on different frames")
 
-    @property
+    @cached_property
+    def _box(self) -> tuple[slice, slice]:
+        """A box that holds every non-zero cell: the one the field was built
+        with, or else the bounding box of {f != 0}."""
+        return _bbox(self.values != 0.0) or _NO_BOX  # bools scan faster than floats
+
+    @cached_property
+    def _levels(self) -> np.ndarray:
+        """np.unique(values) with 0.0 joined, sorted from the box alone.
+
+        Every non-zero value lies in the box, and a field's only zero is
+        0.0, which is joined: any box that holds the support gives the same
+        levels, bit for bit, and the first of them is the field's minimum.
+        """
+        return _levels_of(self.values[self._box])
+
+    @cached_property
+    def _level_index(self) -> np.ndarray:
+        """Each cell of the box's index into `_levels`: np.unique's inverse,
+        with no second sort. On the support boxes of 512² fields (one 2-vCPU
+        Xeon core) searchsorted takes 1.1 ms for crossed plateaus (45
+        levels), 1.6 ms for a pyramid (659) and 3.1 ms for a cone (28k),
+        against 1.5, 1.7 and 1.4 ms for a stable argsort: the benchmark's
+        median fields are the coherent ones."""
+        index = np.searchsorted(self._levels, self.values[self._box])
+        index.setflags(write=False)
+        return index
+
+    @cached_property
     def value_range(self) -> tuple[float, float]:
-        return float(self.values.min()), float(self.values.max())
+        """(min, max) of the values, read on the box: every cell off it is 0.0."""
+        cells = self.values[self._box]
+        if not cells.size:
+            return 0.0, 0.0
+        return min(0.0, float(cells.min())), max(0.0, float(cells.max()))
 
     def __add__(self, other):
         # kept for perfbench/test_oracles.py, which writes f + g
         if isinstance(other, ScalarField):
             return add(self, other)
         return NotImplemented
+
+
+def _levels_of(cells: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """np.unique(cells) with `start` and 0.0 joined where they lack, read-only."""
+    levels = np.unique(cells)
+    for t in (start, 0.0):
+        i = int(levels.searchsorted(t))
+        if i == len(levels) or levels[i] != t:
+            levels = np.insert(levels, i, t)
+    levels.setflags(write=False)
+    return levels
+
+
+def _union(a: tuple[slice, slice], b: tuple[slice, slice]) -> tuple[slice, slice]:
+    """The smallest box that holds boxes a and b; an empty box adds nothing."""
+    if a == _NO_BOX:
+        return b
+    if b == _NO_BOX:
+        return a
+    return tuple(slice(min(p.start, q.start), max(p.stop, q.stop)) for p, q in zip(a, b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +260,7 @@ def distance_map(outer: Region) -> tuple[tuple[slice, slice], np.ndarray]:
     frame = outer.frame
     box = _bbox(outer.mask)
     if box is None:
-        return (slice(0, 0), slice(0, 0)), np.zeros((0, 0))
+        return _NO_BOX, np.zeros((0, 0))
     box = _grow(box, 1, frame.shape)
     return _part_distance_map(frame, (box, outer.mask[box]))
 
@@ -211,39 +277,41 @@ def ramp_field(frame: Frame, box: tuple[slice, slice], dist: np.ndarray,
                height: float, ramp_width: float) -> ScalarField:
     """The field height * min(1, dist / ramp_width) of a `distance_map`
     (box, dist), computed on the box alone. Off the box the distance is 0,
-    and so is the field."""
+    and so is the field: the box is the field's."""
     values = np.zeros(frame.shape)
     values[box] = height * np.minimum(1.0, dist / ramp_width)
-    return ScalarField._of(frame, values)
+    return ScalarField._of(frame, values, box)
 
 
 # -- pointwise algebra ----------------------------------------------------
+# A sum's support lies in the union of its terms' boxes. Every other map
+# here sends 0 to 0, so its result keeps its argument's box.
 
 
 def add(f: ScalarField, g: ScalarField) -> ScalarField:
     f._check_frame(g)
-    return ScalarField._of(f.frame, f.values + g.values)
+    return ScalarField._of(f.frame, f.values + g.values, _union(f._box, g._box))
 
 
 def scale(f: ScalarField, a: float) -> ScalarField:
-    return ScalarField._of(f.frame, a * f.values)
+    return ScalarField._of(f.frame, a * f.values, f._box)
 
 
 def truncate(f: ScalarField, delta: float) -> ScalarField:
     """min(f, delta) for non-negative f; stays in the subalgebra generated by f."""
     if delta <= 0:
         raise DomainError("truncation level must be positive")
-    if float(f.values.min()) < 0:
+    if f.value_range[0] < 0:
         raise DomainError("truncate requires a non-negative field")
-    return ScalarField._of(f.frame, np.minimum(f.values, delta))
+    return ScalarField._of(f.frame, np.minimum(f.values, delta), f._box)
 
 
 def pos_part(f: ScalarField) -> ScalarField:
-    return ScalarField._of(f.frame, np.maximum(f.values, 0.0))
+    return ScalarField._of(f.frame, np.maximum(f.values, 0.0), f._box)
 
 
 def neg_part(f: ScalarField) -> ScalarField:
-    return ScalarField._of(f.frame, np.maximum(-f.values, 0.0))
+    return ScalarField._of(f.frame, np.maximum(-f.values, 0.0), f._box)
 
 
 def compose(phi: PiecewiseLinearMap, f: ScalarField) -> ScalarField:
@@ -254,7 +322,7 @@ def compose(phi: PiecewiseLinearMap, f: ScalarField) -> ScalarField:
         raise DomainError(
             f"field range [{fmin}, {fmax}] exits map domain [{lo}, {hi}]"
         )
-    return ScalarField._of(f.frame, phi(f.values))
+    return ScalarField._of(f.frame, phi(f.values), f._box)
 
 
 def sup_norm(f: ScalarField) -> float:

@@ -27,9 +27,10 @@ sampled value. Each family of measure builds it exactly, in one way:
   set probed at 0. So that segment reads the probe at 0, which is the value
   a second probe of the same mask would return, bit for bit.
 
-Both paths sort only that box for the distinct values, and join the zero
-level and the field's minimum. Either way the integral carries no
-quadrature error.
+A field sorts its support once: its box, its distinct values with the
+zero level joined, and for the layer cake each box cell's place among them,
+are found on first use and kept on the field, so every integral of it reads
+that one result. Either way the integral carries no quadrature error.
 
 A unit ramp over a distance map is a non-decreasing function of the map,
 so for a point-count measure the reconstruction schedule reads each of a
@@ -44,10 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfiniteMeasureError, VariantError
-from .fields import ScalarField, ramp_field
+from .fields import ScalarField, _levels_of, ramp_field
 from .grid import Frame
 from .measures import PointCountMeasure, TopologicalMeasure
-from .regions import _bbox
 
 VARIANT_A = "A"
 VARIANT_B = "B"
@@ -131,27 +131,6 @@ class QuasiIntegralResult:
     diagnostics: IntegrationDiagnostics
 
 
-def _support_levels(values: np.ndarray, counts: bool = False, start: float = 0.0):
-    """The box of {values != 0}, and np.unique(values) from the box, with
-    0.0 and `start` joined at count 0 where the box lacks them.
-
-    Every non-zero value lies in the box, and a field's only zero is 0.0, so
-    the levels are the raster's but for the 0.0 that cells off the box may
-    hold. With `counts`, each level's count of cells comes too, from
-    np.unique(..., return_counts=True); a zero level's count is not the
-    raster's.
-    """
-    box = _bbox(values != 0.0) or (slice(0, 0), slice(0, 0))  # bools scan faster than floats
-    found = np.unique(values[box], return_counts=counts)
-    levels, n = found if counts else (found, None)
-    for t in (start, 0.0):
-        i = int(levels.searchsorted(t))
-        if i == len(levels) or levels[i] != t:
-            levels = np.insert(levels, i, t)
-            n = None if n is None else np.insert(n, i, 0)
-    return box, levels, n
-
-
 class _LevelEvaluator:
     """Evaluates F segment-by-segment over the distinct sampled values.
 
@@ -173,9 +152,10 @@ class _LevelEvaluator:
     nothing, and a non-positive field reads the zero tail's 0.0, the empty
     set's mass.
 
-    Every probe mask lies inside the bounding box of {f != 0}: {f > t} for
-    t >= 0, and for t < 0 either {f > t} off the zero set or {f <= t}. So the
-    field is cropped to that box once and each probe is a mask of the crop,
+    Every probe mask lies inside the field's box, which holds {f != 0}:
+    {f > t} for t >= 0, and for t < 0 either {f > t} off the zero set or
+    {f <= t}. So the field is cropped to that box once and each probe is a
+    mask of the crop, whose mass the kernel reads on the mask's own box,
     with the marked points shifted into its coordinates. The field is 0 on
     the frame's edge ring, so no probe touches the edge and none would fail
     the open-role edge check of a full-frame Region.
@@ -185,7 +165,7 @@ class _LevelEvaluator:
         self.mu = mu
         self.variant = variant
         self.total = total
-        box, self.levels, _ = _support_levels(f.values)
+        box, self.levels = f._box, f._levels
         self.zero = int(self.levels.searchsorted(0.0))
         rows, cols = mu.marked_cells(f.frame)
         j = np.searchsorted(self.levels, f.values[rows, cols])
@@ -280,9 +260,12 @@ def _layer_cake(f: ScalarField, variant: str, total: float,
                 values: np.ndarray, weights, scale: float) -> tuple[DistributionFn, float]:
     """F of an additive measure, cumulative sums of its atoms' masses, and rho.
 
-    The atoms come as a raster, read on its box of non-zero values alone: a
-    zero-valued atom's mass is never used, and each non-zero level gathers
-    the same atoms there, in the same raster order, as over the whole raster.
+    A density's atoms are the field's own cells: it reads the levels that the
+    field sorted once, and each box cell's index into them, which the field
+    keeps for its next integral. A zero-valued atom's mass is never used,
+    and each non-zero level gathers the same atoms, in the same raster
+    order, on the box as over the whole raster. An atomic measure's atoms,
+    one row of them, are sorted here.
     """
     weights = np.asarray(weights)
     if weights.size and weights.min() * scale == weights.max() * scale:
@@ -292,20 +275,20 @@ def _layer_cake(f: ScalarField, variant: str, total: float,
         unit = weights.flat[0] * scale
     else:
         unit = None
-    # The breakpoints start at the field's minimum, and F changes form at 0.
-    box, levels, mass = _support_levels(values, counts=unit is not None,
-                                        start=float(f.values.min()))
-    values = values[box]
+    if values is f.values:
+        levels, index = f._levels, f._level_index
+        if unit is None:
+            weights = weights[f._box]
+    else:
+        # The breakpoints start at the field's minimum, and F changes form at 0.
+        levels = _levels_of(values, f.value_range[0])
+        index = np.searchsorted(levels, values)
     if unit is None:
-        weights = weights[box]
-        # searchsorted gives np.unique's inverse without a second sort. On the
-        # support boxes of 512² fields (one 2-vCPU Xeon core) it takes 1.1 ms
-        # for crossed plateaus (45 levels), 1.6 ms for a pyramid (659) and
-        # 3.1 ms for a cone (28k), against 1.5, 1.7 and 1.4 ms for a stable
-        # argsort: the benchmark's median fields are the coherent ones.
-        mass = np.bincount(np.searchsorted(levels, values).ravel(),
-                           weights=(weights * scale).ravel(), minlength=len(levels))
+        mass = np.bincount(index.ravel(), weights=(weights * scale).ravel(),
+                           minlength=len(levels))
         unit = 1.0
+    else:
+        mass = np.bincount(index.ravel(), minlength=len(levels))
     # A zero-valued atom lies in no {f > t} with t >= 0; variant B drops it.
     mass[levels == 0.0] = 0
     above = np.cumsum(mass[::-1])[::-1] * unit  # above[i] = mass of {f >= levels[i]}
@@ -392,7 +375,7 @@ def _ramp_integrals(mu: TopologicalMeasure, frame: Frame, box: tuple[slice, slic
                 for w in widths]
     clipped = np.zeros(frame.shape)
     clipped[box] = np.minimum(dist, max(widths))
-    G = quasi_integral(mu, ScalarField._of(frame, clipped)).distribution
+    G = quasi_integral(mu, ScalarField._of(frame, clipped, box)).distribution
     return [_stieltjes(_ramp_distribution(G, w)) for w in widths]
 
 

@@ -47,8 +47,9 @@ class TopologicalMeasure:
         weight * scale; a single float weight applies to every atom. A
         density's atoms are the cells: its values are f.values itself and its
         weights one float or a grid of the frame's shape. An atomic measure's
-        raster is one row. The layer cake reads either on the box of its
-        non-zero values alone. None for a measure that is not additive.
+        raster is one row. The layer cake reads a density's on the field's
+        support box, from the levels the field sorted once, and sorts an
+        atomic measure's row itself. None for a measure that is not additive.
         """
         return None
 

@@ -10,13 +10,17 @@ from quasimeasure import (
     DistributionFn,
     DomainError,
     InfiniteMeasureError,
+    PiecewiseLinearMap,
     PointCountMeasure,
     ScalarField,
     VariantError,
     add,
     build_plateau,
+    compose,
     distribution_function,
     linear_oracle,
+    neg_part,
+    pos_part,
     quasi_integral,
     rect_region,
     scale,
@@ -25,7 +29,7 @@ from quasimeasure import (
 )
 from quasimeasure import integration
 from quasimeasure.checks import check_extension_consistency, draw_field
-from quasimeasure.fields import ramp_field
+from quasimeasure.fields import _levels_of, distance_map, ramp_field
 from quasimeasure.integration import VARIANT_A, VARIANT_B
 from quasimeasure.measures import ATOMIC
 from quasimeasure.presets import crossing_fields, crossing_sum, standard_frame
@@ -714,30 +718,116 @@ def _level_rasters(n):
 
 @pytest.mark.parametrize("n", [64, 512])
 def test_support_levels_are_np_unique(n):
-    """The levels sorted from the support box are np.unique's of the raster
-    joined with start and 0.0, bit for bit; a joined level that the raster
-    lacks has count 0."""
+    """The levels sorted from a raster's support box, or from the whole of
+    it, are np.unique's of the raster joined with start and 0.0, bit for bit;
+    counting each cell's index into them gives the raster's counts, and a
+    joined level that the raster lacks has count 0. A field's cache is the
+    start = 0.0 case on its box, which is the bounding box of its support."""
     rasters = _level_rasters(n)
     for name, v in rasters.items():
+        box = _bbox(v) or (slice(0, 0), slice(0, 0))
         low, high = float(v.min(initial=0.0)), float(v.max(initial=0.0))
         # below every level, at the lowest and the highest level, and at zero
         for start in (low - 0.25, low, high, 0.0):
             want, want_counts = np.unique(np.r_[v.ravel(), start, 0.0], return_counts=True)
             want_counts -= (want == start).astype(int) + (want == 0.0)  # the raster's counts
-            for counts in (False, True):
-                box, levels, got = integration._support_levels(v, counts, start)
+            # an atomic measure's row is sorted whole, a field on its box
+            for cells in (v, v[box]):
+                levels = _levels_of(cells, start)
                 assert repr(levels.tolist()) == repr(want.tolist()), (name, start)
                 assert levels.dtype == want.dtype
-                assert box == (_bbox(v) or (slice(0, 0), slice(0, 0)))
-                if counts:
-                    # a zero level's count is never used, and is the box's
-                    assert got[levels != 0].tolist() == want_counts[want != 0].tolist()
-                    assert not got[~np.isin(levels, v)].any(), (name, start)
-                else:
-                    assert got is None
-    assert integration._support_levels(rasters["no_zero_row"])[1].tolist() == [-1.0, 0.0, 0.5, 2.0]
-    assert integration._support_levels(rasters["empty_row"], start=-0.5)[1].tolist() == [-0.5, 0.0]
+                assert not levels.flags.writeable
+                got = np.bincount(np.searchsorted(levels, cells).ravel(), minlength=len(levels))
+                # a zero level's count is never used, and is the cells'
+                assert got[levels != 0].tolist() == want_counts[want != 0].tolist()
+                assert not got[~np.isin(levels, v)].any(), (name, start)
+    for name, f in _level_cases(n).items():
+        box = _bbox(f.values) or (slice(0, 0), slice(0, 0))
+        assert f._box == box, name
+        assert repr(f._levels.tolist()) == repr(_levels_of(f.values).tolist()), name
+        assert np.array_equal(f._level_index, np.searchsorted(f._levels, f.values[box]))
+    assert _levels_of(rasters["no_zero_row"]).tolist() == [-1.0, 0.0, 0.5, 2.0]
+    assert _levels_of(rasters["empty_row"], start=-0.5).tolist() == [-0.5, 0.0]
 
+
+def _cached_fields(n):
+    """A field from each constructor that sets or passes on a box, and one
+    from the public constructor, which finds it."""
+    frame = standard_frame(n)
+    f, g = crossing_fields(frame, 1.0)  # ramp_field's, through build_plateau
+    h = add(f, g)
+    signed = _signed_sum(n, np.random.default_rng([n, 31]))
+    lo, hi = signed.value_range
+    phi = PiecewiseLinearMap(np.array([[lo - 1.0, 0.5], [0.0, 0.0], [(hi + 1.0) / 2, -1.0],
+                                       [hi + 1.0, 0.25]]))
+    box, dist = distance_map(rect_region(frame, 2.2, 6.8, 3.1, 7.4, role=OPEN))
+    return {
+        "ramp": ramp_field(frame, box, dist, 1.5, 0.7),
+        "add": h,
+        "add_cancelled": add(h, scale(h, -1.0)),
+        "add_zero": add(zero_field(frame), f),
+        "scale": scale(signed, -0.75),
+        "truncate": truncate(h, 1.25),
+        "compose": compose(phi, signed),
+        "pos_part": pos_part(signed),
+        "neg_part": neg_part(signed),
+        "public": ScalarField(frame, signed.values),
+        "zero": zero_field(frame),
+    }
+
+
+@pytest.mark.parametrize("n", [64, 333])
+def test_cached_support_is_the_full_frame_one(n):
+    """Each constructor's box holds every non-zero cell, and the levels and
+    range read on it are the full frame's, bit for bit, in read-only arrays."""
+    for name, f in _cached_fields(n).items():
+        off_box = f.values != 0.0
+        off_box[f._box] = False
+        assert not off_box.any(), name
+        want = np.unique(np.r_[f.values.ravel(), 0.0])
+        assert np.array_equal(_bits(f._levels), _bits(want)), name
+        assert np.array_equal(f._level_index, np.searchsorted(want, f.values[f._box])), name
+        assert not f._levels.flags.writeable and not f._level_index.flags.writeable, name
+        assert f.value_range == (float(f.values.min()), float(f.values.max())), name
+        with pytest.raises(ValueError):
+            f._levels[0] = 1.0
+    # a sum with a field that has no support keeps the other term's box
+    f, _ = crossing_fields(standard_frame(n), 1.0)
+    zero = zero_field(f.frame)
+    assert add(zero, f)._box == add(f, zero)._box == f._box
+
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_integrals_share_the_field_cache(crossing, n):
+    """One field object integrated under an atomic measure, a constant and a
+    per-cell density and the crossing measure, under A and B, in several
+    orders: each result is a fresh copy's, bit for bit, whatever the field's
+    cache held before it."""
+    frame = standard_frame(n)
+    rng = np.random.default_rng([n, 32])
+    measures = [
+        AtomicMeasure(rng.uniform(0.5, 9.5, size=(9, 2)), rng.uniform(0.1, 2.0, size=9)),
+        DensityMeasure(float(rng.uniform(0.5, 1.5))),
+        DensityMeasure(rng.uniform(0.5, 1.5, size=frame.shape)),
+        crossing,
+    ]
+    runs = [(mu, variant) for mu in measures for variant in (VARIANT_A, VARIANT_B)]
+    orders = [runs, runs[::-1], [runs[i] for i in rng.permutation(len(runs))]]
+    makers = {
+        "golden": lambda: crossing_sum(frame, 1.0),
+        "signed": lambda: _signed_sum(n, np.random.default_rng([n, 33])),
+        "public": lambda: ScalarField(frame, crossing_sum(frame, 1.0).values),
+    }
+    for name, make in makers.items():
+        for order in orders:
+            f = make()
+            for mu, variant in order:
+                got = quasi_integral(mu, f, variant)
+                want = quasi_integral(mu, ScalarField(frame, f.values), variant)
+                _same_distribution(got.distribution, want.distribution)
+                assert _bits(got.value) == _bits(want.value), (name, mu.kind, variant)
+                assert got.diagnostics == want.diagnostics
 
 def _full_frame_atoms(mu, f):
     """The atoms with every cell of the frame, for the full-frame reference."""

@@ -495,6 +495,18 @@ def _spikes_neg(out):
     assert a == b
 
 
+def _h_sga_additivity(out):
+    # the golden f+g is not additive on its own subalgebra at 64²: the raster
+    # loses the corridors narrower than a cell between its superlevel bands,
+    # and the gap is seen where a pair of maps of h splits them
+    (report,) = json.loads((out / "report.json").read_text())["checks"].values()
+    assert (report["failures"], report["trials"]) == (41, 40)
+    worst = report["worst"]
+    assert {k: worst[k] for k in ("kind", "lhs", "rhs", "trial")} == {
+        "kind": "pair", "lhs": 1.5, "rhs": 0.9708333333333332, "trial": 39}
+    assert worst["violation"] == worst["lhs"] - worst["rhs"]
+
+
 def _no_report(out):
     # an artifact that cannot be written fails the run before report.json
     assert not (out / "report.json").exists()
@@ -505,6 +517,8 @@ _SCENARIO_FILES = {
     "outside_atoms": (0, "all checks passed", _outside_atoms),
     "negated_field": (0, "all checks passed", _negated_field),
     "spikes_neg": (0, "all checks passed", _spikes_neg),
+    # nonlinear_example's h = f + g under sga_additivity, at the file's seed 0
+    "h_sga_additivity": (1, "some checks failed", _h_sga_additivity),
     # an interior region is open, and takes no role
     "compact_interior": (2, "$.regions.I: unknown keys ['role']", None),
     "not_utf8": (2, "configuration error", None),
