@@ -113,10 +113,6 @@ class DistributionFn:
         i = int(np.searchsorted(self.thresholds, t, side="right")) - 1
         return self.left_limit if i < 0 else float(self.values[i])
 
-    def integral(self) -> float:
-        """Exact integral of the step representation from its first breakpoint."""
-        return float(np.sum(self.values[:-1] * np.diff(self.thresholds)))
-
 
 @dataclass(frozen=True)
 class IntegrationDiagnostics:
@@ -161,7 +157,7 @@ class _LevelEvaluator:
     the open-role edge check of a full-frame Region.
     """
 
-    def __init__(self, mu: PointCountMeasure, f: ScalarField, variant: str, total: float):
+    def __init__(self, mu: PointCountMeasure, f: ScalarField, variant: str, total: float | None):
         self.mu = mu
         self.variant = variant
         self.total = total
@@ -172,7 +168,6 @@ class _LevelEvaluator:
         self.anchors = np.unique(np.concatenate((j - 1, j))).tolist()
         self.sub = f.values[box]
         self.rows, self.cols = rows - box[0].start, cols - box[1].start
-        self.max_depth = max(f.frame.nx, f.frame.ny)
         self.cache: dict[int, float] = {}
         self.evals = 0
 
@@ -183,7 +178,7 @@ class _LevelEvaluator:
     def mass_of_crop(self, mask: np.ndarray) -> float:
         """Mass of the set whose cells in the crop are `mask`."""
         self.evals += 1
-        return self.mu._mass_of_mask(mask, self.rows, self.cols, self.max_depth)
+        return self.mu._mass_of_mask(mask, self.rows, self.cols)
 
     def value_at_level(self, t: float) -> float:
         """F(t) for a sampled value t: the mass of {f > t}."""
@@ -237,7 +232,7 @@ class _LevelEvaluator:
 
 
 def _bisection(mu: PointCountMeasure, f: ScalarField, variant: str,
-               total: float) -> tuple[DistributionFn, float, int]:
+               total: float | None) -> tuple[DistributionFn, float, int]:
     """F by monotone bisection, and rho from F: a point-count measure has no atoms."""
     ev = _LevelEvaluator(mu, f, variant, total)
     levels = ev.levels
@@ -253,10 +248,11 @@ def _bisection(mu: PointCountMeasure, f: ScalarField, variant: str,
 
 def _stieltjes(F: DistributionFn) -> float:
     """rho from F: integral_[a,b] F(t) dt + a * F(a-), a = F's first breakpoint."""
-    return F.integral() + float(F.thresholds[0]) * F.left_limit
+    return (float(np.sum(F.values[:-1] * np.diff(F.thresholds)))
+            + float(F.thresholds[0]) * F.left_limit)
 
 
-def _layer_cake(f: ScalarField, variant: str, total: float,
+def _layer_cake(f: ScalarField, variant: str, total: float | None,
                 values: np.ndarray, weights, scale: float) -> tuple[DistributionFn, float]:
     """F of an additive measure, cumulative sums of its atoms' masses, and rho.
 
@@ -314,7 +310,8 @@ def _build_distribution(
     """F, rho and the number of mass evaluations they took."""
     if variant not in (VARIANT_A, VARIANT_B):
         raise VariantError(f"unknown variant {variant!r}")
-    total = mu.total_mass(f.frame)
+    # only variant A's formula reads mu(X): under B a density grid is not summed
+    total = mu.total_mass(f.frame) if variant == VARIANT_A else None
     if variant == VARIANT_A and math.isinf(total):
         raise InfiniteMeasureError("variant A requires a finite measure")
     atoms = mu.atoms(f)

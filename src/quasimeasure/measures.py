@@ -106,8 +106,6 @@ class PointCountMeasure(_MarkedPoints, TopologicalMeasure):
             raise ValueError("value_by_count[0] must be 0")
         if bool((np.diff(table) < 0).any()):
             raise ValueError("value_by_count must be non-decreasing")
-        if bool((table < 0).any()):
-            raise ValueError("value_by_count must be non-negative")
         for i in range(n + 1):
             for j in range(n + 1 - i):
                 if table[i + j] < table[i] + table[j] - 1e-12:
@@ -125,13 +123,12 @@ class PointCountMeasure(_MarkedPoints, TopologicalMeasure):
 
     def mass(self, region: Region) -> float:
         rows, cols = self.marked_cells(region.frame)
-        max_depth = max(region.frame.nx, region.frame.ny)
-        return self._mass_of_mask(region.mask, rows, cols, max_depth)
+        return self._mass_of_mask(region.mask, rows, cols)
 
     def _lam(self, count: int) -> float:
         return float(self.value_by_count[count])
 
-    def _mass_of_mask(self, mask, rows, cols, depth) -> float:
+    def _mass_of_mask(self, mask, rows, cols) -> float:
         """Mass of `mask` with the marked points at (rows, cols) in its coordinates.
 
         Each component and each hole is worked on inside its own box; points
@@ -152,9 +149,11 @@ class PointCountMeasure(_MarkedPoints, TopologicalMeasure):
 
         The sum starts at 0.0 and every skipped term is +-0.0, so a -0.0 table
         entry comes out as 0.0, as it does when every term is added.
+
+        A hole never reaches its component's box edge, which `_holes` pads,
+        so each level of the recursion works on a box at least one cell
+        smaller on every side, and the nesting ends.
         """
-        if depth < 0:
-            raise RecursionError("hole nesting exceeds grid depth; mask is corrupt")
         box = _bbox(mask)
         if box is None:
             return 0.0
@@ -176,7 +175,7 @@ class PointCountMeasure(_MarkedPoints, TopologicalMeasure):
             r, c = r + 1, c + 1
             val = self._lam(int((labels[r, c] != 1).sum()))
             for (hr, hc), hole in hole_parts:
-                val -= self._mass_of_mask(hole, r - hr.start, c - hc.start, depth - 1)
+                val -= self._mass_of_mask(hole, r - hr.start, c - hc.start)
             total += val
         return total
 

@@ -55,7 +55,7 @@ def crossing_regions(frame: Frame) -> dict[str, Region]:
     return {
         "K": K,
         "C": C,
-        "core": K.intersection(C, role=COMPACT),
+        "core": K.intersection(C),
         "U": rect_region(frame, *OUTER_U, role=OPEN),
         "V": rect_region(frame, *OUTER_V, role=OPEN),
         "side_pocket": rect_region(frame, 1.5, 3.5, 5.5, 6.9, role=OPEN),

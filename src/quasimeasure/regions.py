@@ -70,19 +70,19 @@ class Region:
         if self.frame != other.frame:
             raise FrameMismatchError("regions live on different frames")
 
-    # -- set algebra (role of the result given explicitly or inherited) --
+    # -- set algebra (the result keeps this region's role) --
 
-    def union(self, other: "Region", role: str | None = None) -> "Region":
+    def union(self, other: "Region") -> "Region":
         self._check_frame(other)
-        return Region(self.frame, self.mask | other.mask, role or self.role)
+        return Region(self.frame, self.mask | other.mask, self.role)
 
-    def intersection(self, other: "Region", role: str | None = None) -> "Region":
+    def intersection(self, other: "Region") -> "Region":
         self._check_frame(other)
-        return Region(self.frame, self.mask & other.mask, role or self.role)
+        return Region(self.frame, self.mask & other.mask, self.role)
 
-    def difference(self, other: "Region", role: str | None = None) -> "Region":
+    def difference(self, other: "Region") -> "Region":
         self._check_frame(other)
-        return Region(self.frame, self.mask & ~other.mask, role or self.role)
+        return Region(self.frame, self.mask & ~other.mask, self.role)
 
     def subset_of(self, other: "Region") -> bool:
         self._check_frame(other)

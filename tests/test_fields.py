@@ -398,3 +398,19 @@ class TestNormsAndSupport:
         supp = support_region(ScalarField(frame64, vals))
         assert supp.mask[0, 4:7].all() and supp.mask[-1, -1]
         assert supp.mask.sum() == 9 + 9
+
+
+# the raises that no test above reaches, one row each
+@pytest.mark.parametrize("build, error, match", [
+    (lambda frame: PiecewiseLinearMap(np.zeros(4)), ValueError, "knots must be"),
+    (lambda frame: PiecewiseLinearMap(np.zeros((1, 2))), ValueError, "knots must be"),
+    (lambda frame: PiecewiseLinearMap.identity(-1.0, 0.0) - PiecewiseLinearMap.identity(0.0, 1.0),
+     DomainError, "disjoint domains"),
+    (lambda frame: build_plateau(rect_region(Frame(0, 10, 0, 10, 96, 96), 5, 6, 5, 6),
+                                 rect_region(frame, 4, 7, 4, 7, role="open"), 1.0, 0.25),
+     FrameMismatchError, "different frames"),
+], ids=["knots_1d", "one_knot", "sub_disjoint_domains", "plateau_frames"])
+def test_malformed_input_raises(frame64, build, error, match):
+    with pytest.raises(error, match=match):
+        build(frame64)
+

@@ -30,7 +30,7 @@ from quasimeasure import (
 from quasimeasure import integration
 from quasimeasure.checks import check_extension_consistency, draw_field
 from quasimeasure.fields import _levels_of, distance_map, ramp_field
-from quasimeasure.integration import VARIANT_A, VARIANT_B
+from quasimeasure.integration import VARIANT_A, VARIANT_B, _stieltjes
 from quasimeasure.measures import ATOMIC
 from quasimeasure.presets import crossing_fields, crossing_sum, standard_frame
 from quasimeasure.regions import COMPACT, OPEN, Region, _bbox, point_cells
@@ -330,6 +330,15 @@ class TestDistributionValidation:
         with pytest.raises(ValueError):
             DistributionFn(thresholds, values, left_limit)
 
+    @pytest.mark.parametrize("thresholds, values, left_limit, match", [
+        ([0.0, 1.0], [0.0], 0.0, "equal-length"),
+        ([0.0, 1.0], [0.0, -1.0], 0.0, "non-negative"),
+    ], ids=["unequal_length", "negative_value"])
+    def test_arrays_must_be_equal_length_and_non_negative(self, thresholds, values,
+                                                         left_limit, match):
+        with pytest.raises(ValueError, match=match):
+            DistributionFn(thresholds, values, left_limit)
+
     def test_csv_roundtrip(self, nonlinear_out, crossing, golden_sum):
         # nonlinear_example's h is the golden sum
         F = distribution_function(crossing, golden_sum)
@@ -529,7 +538,7 @@ class TestAnchoredBisection:
                 res = quasi_integral(crossing, f, variant)
                 F, ev = _midpoint_bisection(crossing, f, variant)
                 _same_distribution(res.distribution, F)
-                assert res.value == F.integral() + float(F.thresholds[0]) * F.left_limit
+                assert res.value == _stieltjes(F)
                 assert res.diagnostics.refinement_iterations <= ev
                 evals += res.diagnostics.refinement_iterations
                 oracle_evals += ev

@@ -200,3 +200,14 @@ class TestMorphology:
     def test_negative_radius(self, frame64):
         with pytest.raises(ValueError):
             erode(frame_interior(frame64), -1)
+
+
+# the raises that no test above reaches, one row each
+@pytest.mark.parametrize("build, match", [
+    (lambda frame: Region(frame, np.zeros((10, 10), dtype=bool)), "mask shape"),
+    (lambda frame: dilate(frame_interior(frame), -1), "dilation radius"),
+], ids=["mask_shape", "dilate_negative_radius"])
+def test_malformed_input_raises(frame64, build, match):
+    with pytest.raises(ValueError, match=match):
+        build(frame64)
+

@@ -15,6 +15,13 @@ import quasimeasure
 from quasimeasure import ConfigError
 from quasimeasure.cli import main
 from quasimeasure.grid import MAX_CELLS
+from quasimeasure.presets import (
+    crossing_fields,
+    crossing_measure,
+    crossing_regions,
+    crossing_sum,
+    standard_frame,
+)
 from quasimeasure.scenario import (
     _CHECKS,
     _KEYS,
@@ -26,6 +33,8 @@ from quasimeasure.scenario import (
     load_scenario,
     run_scenario,
 )
+
+from conftest import same_region
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +104,24 @@ class TestBundledScenarios:
     def test_unknown_bundled_name(self):
         with pytest.raises(ConfigError):
             bundled_scenario_path("no_such_scenario")
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_nonlinear_example_is_the_preset(self, nonlinear_path, n):
+        """The crossed configuration is written down twice, in presets.py,
+        which the nonlinearity_example check reads, and in the bundled
+        scenario, which its other checks read: the two build the same
+        measure, regions and fields, byte for byte."""
+        scenario, frame = load_scenario(nonlinear_path, resolution=n), standard_frame(n)
+        assert scenario.frame == frame
+        mu, preset = scenario.measures["crossing"], crossing_measure()
+        assert mu.points.tobytes() == preset.points.tobytes()
+        assert mu.value_by_count.tobytes() == preset.value_by_count.tobytes()
+        regions = crossing_regions(frame)
+        assert list(scenario.regions) == list(regions)
+        assert all(same_region(scenario.regions[name], r) for name, r in regions.items())
+        f, g = crossing_fields(frame)
+        for name, field in (("f", f), ("g", g), ("h", crossing_sum(frame))):
+            assert scenario.fields[name].values.tobytes() == field.values.tobytes()
 
 
 class TestDeterminism:
@@ -240,6 +267,10 @@ class TestCli:
         assert main(["run", "/no/such/file.json"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_directory_is_config_error(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert "configuration error: cannot read scenario file" in capsys.readouterr().err
+
     def test_failing_check_exit_code(self, tmp_path, capsys):
         data = small_scenario_dict()
         # a density measure's compact box is overshot by its ramp ring, past
@@ -336,6 +367,10 @@ class TestCli:
         ("measure_baseline", {("checks", 6, "trials"): -3}, [], "$.checks[6]"),
         # nor is a check that would compare nothing
         ("measure_baseline", {("checks", 5, "regions"): []}, [], "$.checks[5]"),
+        # a sum of one field, and a scenario with no check
+        ("nonlinear_example", {("fields", "h", "of"): ["f"]}, [],
+         "$.fields.h.of: expected a list of at least two field names, got ['f']"),
+        ("measure_baseline", {("checks",): []}, [], "$.checks"),
         # a check's fixed bounds, coefficients and slices, and an interior's
         # margin of one ring, are no scenario keys
         *[(name, {("checks", i, "tol"): 1e-6}, [], f"$.checks[{i}]: unknown keys ['tol']")

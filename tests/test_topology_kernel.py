@@ -7,8 +7,9 @@ holes must be the reference's, in the same order, and its masses the same
 bit for bit, so every comparison here is exact.
 
 `_cropped_mass_of_mask` is the cropped mass kernel as it was before it
-skipped the labellings no marked point can affect. The kernel must give the
-same masses by `repr`, so a `-0.0` mass would show.
+skipped the labellings no marked point can affect, less its depth budget,
+which no mask can exhaust. The kernel must give the same masses by `repr`,
+so a `-0.0` mass would show.
 """
 
 from collections import Counter
@@ -80,17 +81,15 @@ def ref_mass(mu, region):
     return _ref_mass_of_mask(mu, region.mask, rows, cols, max(region.frame.nx, region.frame.ny))
 
 
-# -- the cropped kernel before the shortcuts, verbatim ----------------------
+# -- the cropped kernel before the shortcuts, less its depth budget --------
 
 
-def _cropped_mass_of_mask(mu, mask, rows, cols, depth):
+def _cropped_mass_of_mask(mu, mask, rows, cols):
     """Mass of `mask` with the marked points at (rows, cols) in its coordinates.
 
     Each component and each hole is worked on inside its own box; points
     outside a box are dropped from it.
     """
-    if depth < 0:
-        raise RecursionError("hole nesting exceeds grid depth; mask is corrupt")
     total = 0.0
     box = _bbox(mask)
     if box is None:
@@ -102,15 +101,14 @@ def _cropped_mass_of_mask(mu, mask, rows, cols, depth):
         labels, hole_parts = _holes(comp)
         val = mu._lam(int((labels[r, c] != 1).sum()))
         for (hr, hc), hole in hole_parts:
-            val -= _cropped_mass_of_mask(mu, hole, r - hr.start, c - hc.start, depth - 1)
+            val -= _cropped_mass_of_mask(mu, hole, r - hr.start, c - hc.start)
         total += val
     return total
 
 
 def cropped_mass(mu, region):
     rows, cols = mu.marked_cells(region.frame)
-    return _cropped_mass_of_mask(mu, region.mask, rows, cols,
-                                 max(region.frame.nx, region.frame.ny))
+    return _cropped_mass_of_mask(mu, region.mask, rows, cols)
 
 
 def count_label_calls(monkeypatch):
