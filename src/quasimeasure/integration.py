@@ -315,9 +315,16 @@ def _build_distribution(
     if variant == VARIANT_A and math.isinf(total):
         raise InfiniteMeasureError("variant A requires a finite measure")
     atoms = mu.atoms(f)
-    if atoms is None:
-        return _bisection(mu, f, variant, total)
-    return *_layer_cake(f, variant, total, *atoms), 0
+    # rho past the float range is inf, or NaN where infinities cancel: an
+    # error, as a non-finite F is in DistributionFn, and not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if atoms is None:
+            F, value, evals = _bisection(mu, f, variant, total)
+        else:
+            F, value, evals = *_layer_cake(f, variant, total, *atoms), 0
+    if not math.isfinite(value):
+        raise OverflowError(f"rho is {value}: past the float range")
+    return F, value, evals
 
 
 def distribution_function(

@@ -1,4 +1,5 @@
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -235,6 +236,39 @@ class TestFailurePath:
         json.dumps(report.to_dict())
 
 
+def test_expect_fails_unless_violation_is_within_bound():
+    """One rule for every comparison: violation <= bound passes, anything
+    else, NaN included, is a failure recorded with its violation; `worst`
+    holds the largest."""
+    report = CheckReport()
+    assert report.expect(1.0, 1.0) and report.expect(-math.inf, 0.0)
+    assert not report.expect(2.0, 1.0, kind="over")
+    assert not report.expect(math.nan, 1.0, kind="nan")
+    assert not report.expect(3.0, 1.0, kind="further")
+    assert report.failures == 3
+    assert report.worst == {"violation": 3.0, "kind": "further"}
+
+
+# a rho of NaN: every suite whose comparisons it enters fails
+_NAN_RUNS = {
+    "sga_additivity": lambda mu, frame: check_sga_additivity(mu, trials=2, frame=frame),
+    "disjoint_support_additivity":
+        lambda mu, frame: check_disjoint_support_additivity(mu, 1, frame=frame),
+    "monotone_lipschitz": lambda mu, frame: check_monotone_lipschitz(mu, 3, frame=frame),
+    "homogeneity": lambda mu, frame: check_homogeneity(mu, 1, frame=frame),
+    "positivity": lambda mu, frame: check_positivity(mu, 1, frame=frame),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_RUNS))
+def test_nan_rho_fails(crossing, frame64, monkeypatch, name):
+    monkeypatch.setattr(checks, "QuasiIntegral", lambda mu: lambda f: math.nan)
+    report = _NAN_RUNS[name](crossing, frame64)
+    # every trial fails at least once
+    assert report.failures >= report.trials > 0
+    assert math.isnan(report.worst["violation"])
+
+
 def test_no_plateau_clears_the_points(frame64):
     """A point just inside every lattice rectangle's corner: no draw clears
     them, and the draw gives up."""
@@ -259,16 +293,20 @@ class TestTrivialCases:
 # in `checks`: rho, the quasi_integral it calls, or, for tm_axioms, a measure
 # of its own. `expected` maps each branch that must fire, by its witness's
 # "kind" (a tm_axioms label, None for a check with one branch), to the keys
-# of the witness that `report.worst` would hold.
+# of the witness that `report.worst` would hold. Every failure records how far
+# it failed: a violation > 0.
 
 
 def _recorded_witnesses(monkeypatch) -> dict:
-    """Branch -> witness keys of each failure recorded for the rest of the test."""
+    """Branch -> witness keys of each failure recorded for the rest of the
+    test; each recorded violation must be > 0."""
     seen = {}
     record = CheckReport.record
 
     def logged(self, violation, witness):
-        seen.setdefault(witness.get("kind", witness.get("label")), {"violation", *witness})
+        branch = witness.get("kind", witness.get("label"))
+        assert violation > 0, (branch, violation)
+        seen.setdefault(branch, {"violation", *witness})
         record(self, violation, witness)
 
     monkeypatch.setattr(CheckReport, "record", logged)
@@ -276,10 +314,19 @@ def _recorded_witnesses(monkeypatch) -> dict:
 
 
 class _NotAdditive(TopologicalMeasure):
-    """Mass 1 on every non-empty region: not additive on disjoint compacts."""
+    """Mass 1 on every region, the empty one too: not additive on disjoint
+    compacts."""
 
     def mass(self, region):
-        return 0.0 if region.is_empty else 1.0
+        return 1.0
+
+
+class _InverseArea(TopologicalMeasure):
+    """Mass 1 / cell_count on every non-empty region: it falls as a region
+    grows, so no chain or regularity schedule is monotone."""
+
+    def mass(self, region):
+        return 0.0 if region.is_empty else 1.0 / region.cell_count
 
 
 class _IncreasingF:
@@ -316,6 +363,10 @@ def _successive(values):
 
 _SUM_KEYS = {"violation", "trial", "kind", "lhs", "rhs"}
 _TRIAL_KEYS = {"violation", "trial", "kind"}
+# the tm_axioms labels that compare sums of masses
+_TM_SUMS = {**{label: {"violation", "label", "lhs", "rhs"}
+               for label in ("additivity_0", "additivity_1", "partition_0", "partition_1")},
+            "superadditivity": {"violation", "label", "sum", "whole"}}
 
 FAILURE_BRANCHES = {
     "disjoint_support_additivity": (
@@ -335,9 +386,14 @@ FAILURE_BRANCHES = {
     "tm_axioms": (
         lambda mu, frame: check_tm_axioms(_NotAdditive(), frame),
         lambda: {},
-        {**{label: {"violation", "label", "lhs", "rhs"}
-            for label in ("additivity_0", "additivity_1", "partition_0", "partition_1")},
-         "superadditivity": {"violation", "label", "sum", "whole"}}),
+        {**_TM_SUMS, "empty": {"violation", "label"}}),
+    "tm_axioms_monotone": (
+        lambda mu, frame: check_tm_axioms(_InverseArea(), frame),
+        lambda: {},
+        {**_TM_SUMS,
+         "tau_chain_monotone": {"violation", "label", "values"},
+         "inner_regularity_monotone": {"violation", "label", "values", "mu_U"},
+         "outer_regularity_monotone": {"violation", "label", "values", "mu_K"}}),
     "homogeneity": (
         lambda mu, frame: check_homogeneity(mu, 1, frame=frame),
         _rho(sup_norm),

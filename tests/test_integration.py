@@ -25,6 +25,7 @@ from quasimeasure import (
     rect_region,
     scale,
     sup_norm,
+    tm_eval,
     truncate,
 )
 from quasimeasure import integration
@@ -329,6 +330,21 @@ class TestDistributionValidation:
     def test_entries_must_be_finite(self, thresholds, values, left_limit):
         with pytest.raises(ValueError):
             DistributionFn(thresholds, values, left_limit)
+
+    @pytest.mark.parametrize("measure", ["density", "point_count"])
+    def test_rho_past_the_float_range_raises(self, frame64, crossing, measure):
+        """A rho that overflows is an OverflowError at the integral, not an
+        infinity and not a warning: the layer cake's sum of level * mass and
+        the bisection's Stieltjes sum both pass 1e308 here."""
+        if measure == "density":
+            mu = DensityMeasure(1e300)
+            f = build_plateau(None, rect_region(frame64, 2, 6, 2, 6, role=OPEN), 1e10, 1.0)
+        else:
+            mu = PointCountMeasure(crossing.points, crossing.value_by_count * 1e300)
+            f = crossing_fields(frame64, 1e10)[0]
+        for variant in (VARIANT_A, VARIANT_B):
+            with pytest.raises(OverflowError, match="past the float range"):
+                quasi_integral(mu, f, variant)
 
     @pytest.mark.parametrize("thresholds, values, left_limit, match", [
         ([0.0, 1.0], [0.0], 0.0, "equal-length"),
@@ -1019,18 +1035,22 @@ def test_ramp_read_off_on_adversarial_distance_maps():
 
 def _norm_case(rng, frame, i):
     """2 to 7 marked points at cell centres inside [2, 8]^2, and a random valid
-    table whose increments are dyadic (k / 8), non-dyadic, or a mix: sorted
-    increments make it convex, so superadditive."""
+    table for them."""
     n = int(rng.integers(2, 8))
     lo, hi = int(2 / frame.dx) + 1, int(8 / frame.dx) - 1
     cols, rows = rng.integers(lo, hi, size=n), rng.integers(lo, hi, size=n)
     points = np.column_stack([frame.x_min + (cols + 0.5) * frame.dx,
                               frame.y_min + (rows + 0.5) * frame.dy])
+    return PointCountMeasure(points, _valid_table(rng, n, i))
+
+
+def _valid_table(rng, n, i):
+    """A table for n points whose increments are dyadic (k / 8), non-dyadic,
+    or a mix: sorted increments make it convex, so superadditive."""
     dyadic = rng.integers(0, 9, size=n) / 8
     increments = (dyadic, rng.uniform(0.0, 1.0, size=n),
                   np.where(rng.random(n) < 0.5, dyadic, rng.uniform(0.0, 1.0, size=n)))[i % 3]
-    table = np.r_[0.0, np.cumsum(np.sort(increments))]
-    return PointCountMeasure(points, table)
+    return np.r_[0.0, np.cumsum(np.sort(increments))]
 
 
 def _covering_plateau(rng, frame, points):
@@ -1065,3 +1085,53 @@ def test_norm_is_the_total_mass(variant):
                 ratios.append(abs(value) / (sup_norm(f) * total))
     # the bound is reached by drawn fields too, not only by the plateau
     assert max(ratios) == 1.0
+
+
+# -- the paper's bijection preserves order: mu <= nu gives rho_mu <= rho_nu ----
+
+
+@pytest.mark.parametrize("variant", [VARIANT_A, VARIANT_B])
+def test_order_is_preserved(variant):
+    """nu = mu + delta, with delta a valid table of its own on mu's points, is
+    a measure at least mu on every set, so rho_nu(f) >= rho_mu(f) for f >= 0:
+    a covering plateau and drawn non-negative fields, with no slack. A
+    point-count mass is linear in its table, so rho_nu = rho_mu + rho_delta,
+    here within 4 ulps of rho_nu."""
+    frame = standard_frame(64)
+    rng = np.random.default_rng(31)
+    strict = 0
+    for i in range(60):
+        mu = _norm_case(rng, frame, i)
+        delta = _valid_table(rng, len(mu.points), i + 1)
+        nu = PointCountMeasure(mu.points, mu.value_by_count + delta)
+        rho_delta = PointCountMeasure(mu.points, delta)
+        fields = [_covering_plateau(rng, frame, mu.points)]
+        fields += [draw_field(rng, frame, avoid_points=mu.points) for _ in range(10)]
+        for j, f in enumerate(fields):
+            a, b, d = (quasi_integral(m, f, variant).value for m in (mu, nu, rho_delta))
+            assert b >= a, (i, j, a, b)
+            assert abs(b - (a + d)) <= 4 * math.ulp(b), (i, j, a, b, d)
+            strict += b > a
+    # the order is strict wherever delta weighs a point that f lifts
+    assert strict > 0
+
+
+@pytest.mark.parametrize("variant", [VARIANT_A, VARIANT_B])
+def test_entrywise_larger_table_is_not_a_larger_measure(variant):
+    """[0, 0.5, 1] is at least [0, 0, 1] at every count, yet on an annulus with
+    one point on its ring and one in its hole, whose mass subtracts the hole's,
+    it weighs 1 - 0.5 = 0.5 against 1 - 0 = 1; so does rho of a field that is
+    1 on the ring and 0 in the hole. The order of measures is not the order
+    of their tables entry by entry."""
+    frame = standard_frame(64)
+    # cell centres: the ring point at x = 2.73, the hole point at the middle
+    ring, hole = (17.5 * frame.dx, 32.5 * frame.dy), (32.5 * frame.dx, 32.5 * frame.dy)
+    outer = rect_region(frame, 1.5, 8.5, 1.5, 8.5, role=OPEN)
+    inner = rect_region(frame, 3.5, 6.5, 3.5, 6.5, role=OPEN)
+    annulus = outer.with_role(COMPACT).difference(inner)
+    f = add(build_plateau(None, outer, 1.0, 0.3), scale(build_plateau(None, inner, 1.0, 0.3), -1.0))
+    assert f.value_range == (0.0, 1.0)
+    for table, mass in (([0.0, 0.0, 1.0], 1.0), ([0.0, 0.5, 1.0], 0.5)):
+        mu = PointCountMeasure(np.array([ring, hole]), table)
+        assert tm_eval(mu, annulus) == mass
+        assert quasi_integral(mu, f, variant).value == mass

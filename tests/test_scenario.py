@@ -315,6 +315,13 @@ class TestCli:
         ("nonlinear_example", {("regions", "core", "bounds"): [0.01, 2, 0.01, 2]}, [],
          "$.checks[2]"),
         ("nonlinear_example", {("checks", 2, "regions"): "K"}, [], "$.checks[2].regions"),
+        # a point-count rho past the float range: the gaps would all be NaN
+        ("nonlinear_example", {
+            ("measures", "crossing", "value_by_count"): [0, 0, 0.5e300, 0.5e300, 1e300, 1e300],
+            ("fields", "f", "height"): 1e10,
+            ("checks",): [{"check": "extension_consistency", "measure": "crossing",
+                           "field": "f"}],
+        }, [], "$.checks[0]"),
         ("measure_baseline", {
             ("regions", "edge"): {"kind": "rect", "bounds": [0.01, 2, 0.01, 2]},
             ("artifacts", "reconstruction_traces"): [{"measure": "spikes", "region": "edge"}],
@@ -569,6 +576,8 @@ _SCENARIO_FILES = {
     "retired_key": (2, "$.checks[0]: unknown keys ['tol']", _no_report),
     # x0 > x1 would rasterize to an empty rectangle
     "inverted_bounds": (2, "$.regions.K.bounds: ", _no_report),
+    # rho past the float range, whose gap to the oracle would be NaN
+    "overflow_rho": (2, "$.checks[0]: ", _no_report),
 }
 
 
