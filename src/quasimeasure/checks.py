@@ -65,8 +65,10 @@ class CheckReport:
         return ok
 
     def record(self, violation: float, witness: dict):
+        # NaN ranks above every violation: the first one stays worst
         self.failures += 1
-        if self.worst is None or violation > self.worst["violation"]:
+        worst = None if self.worst is None else self.worst["violation"]
+        if worst is None or not (math.isnan(worst) or violation <= worst):
             self.worst = {"violation": float(violation), **witness}
 
     def to_dict(self) -> dict:

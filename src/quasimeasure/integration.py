@@ -398,7 +398,13 @@ def linear_oracle(mu: TopologicalMeasure, f: ScalarField) -> float:
     if atoms is None:
         raise VariantError(f"linear oracle is undefined for measure kind {mu.kind!r}")
     values, weights, scale = atoms
-    return float(np.sum(values * weights)) * scale
+    # its sum is not yet scaled by the cell area, so it can overflow where rho
+    # does not
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.sum(values * weights)) * scale
+    if not math.isfinite(value):
+        raise OverflowError(f"the linear oracle is {value}: past the float range")
+    return value
 
 
 @dataclass(frozen=True)

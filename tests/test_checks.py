@@ -239,14 +239,22 @@ class TestFailurePath:
 def test_expect_fails_unless_violation_is_within_bound():
     """One rule for every comparison: violation <= bound passes, anything
     else, NaN included, is a failure recorded with its violation; `worst`
-    holds the largest."""
+    holds the largest, and a NaN ranks above every number."""
     report = CheckReport()
     assert report.expect(1.0, 1.0) and report.expect(-math.inf, 0.0)
     assert not report.expect(2.0, 1.0, kind="over")
-    assert not report.expect(math.nan, 1.0, kind="nan")
     assert not report.expect(3.0, 1.0, kind="further")
-    assert report.failures == 3
     assert report.worst == {"violation": 3.0, "kind": "further"}
+    assert not report.expect(math.nan, 1.0, kind="nan")
+    assert not report.expect(math.inf, 1.0, kind="inf")
+    assert not report.expect(math.nan, 1.0, kind="second nan")
+    assert report.failures == 5
+    assert report.worst["kind"] == "nan" and math.isnan(report.worst["violation"])
+    # a NaN that fails first stays worst too
+    report = CheckReport()
+    assert not report.expect(math.nan, 1.0, kind="nan")
+    assert not report.expect(math.inf, 1.0, kind="inf")
+    assert report.worst["kind"] == "nan"
 
 
 # a rho of NaN: every suite whose comparisons it enters fails

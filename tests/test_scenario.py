@@ -322,6 +322,16 @@ class TestCli:
             ("checks",): [{"check": "extension_consistency", "measure": "crossing",
                            "field": "f"}],
         }, [], "$.checks[0]"),
+        # a density's linear oracle past the float range where rho is not: it
+        # sums before it scales by the cell area
+        ("measure_baseline", {
+            ("measures", "lebesgue", "density"): 1e300,
+            ("regions", "small"): {"kind": "rect", "bounds": [4, 5, 4, 5], "role": "open"},
+            ("fields", "tall"): {"kind": "plateau", "outer": "small", "height": 2e8,
+                                 "ramp": 1.0},
+            ("checks",): [{"check": "linear_agreement", "measure": "lebesgue",
+                           "field": "tall"}],
+        }, ["--resolution", "128"], "$.checks[0]"),
         ("measure_baseline", {
             ("regions", "edge"): {"kind": "rect", "bounds": [0.01, 2, 0.01, 2]},
             ("artifacts", "reconstruction_traces"): [{"measure": "spikes", "region": "edge"}],
